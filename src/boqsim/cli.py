@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import calibration, dispersive, lindblad, scattering, spectral
 from .core import (DriveSpec, OscillatorParams, StabilityError,
@@ -105,20 +106,26 @@ def _kappa(cfg: dict) -> float:
 
 
 def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
-    return OscillatorParams(freq_a=float(cfg.get("freq_a", 6940.0)),
-                            kappa=float(cfg.get("kappa", 8.7)),
-                            delta_a=delta_a, lam=lam)
+    try:
+        return OscillatorParams(freq_a=float(cfg.get("freq_a", 6940.0)),
+                                kappa=float(cfg.get("kappa", 8.7)),
+                                delta_a=delta_a, lam=lam)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
     delta_q = float(cfg.get("delta_q", delta_a
                             + float(cfg.get("delta_q_offset", -100.0))))
-    return TransmonParams(delta_q=delta_q,
-                          g=float(cfg.get("g", 4.9)),
-                          chi_q=float(cfg.get("chi_q", -114.0)),
-                          gamma_1=float(cfg.get("gamma_1", 5.0)),
-                          gamma_phi=float(cfg.get("gamma_phi", 2.2)),
-                          n_levels=int(cfg.get("n_levels", 3)))
+    try:
+        return TransmonParams(delta_q=delta_q,
+                              g=float(cfg.get("g", 4.9)),
+                              chi_q=float(cfg.get("chi_q", -114.0)),
+                              gamma_1=float(cfg.get("gamma_1", 5.0)),
+                              gamma_phi=float(cfg.get("gamma_phi", 2.2)),
+                              n_levels=int(cfg.get("n_levels", 3)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _lam_cap_detuned(delta_a: float, kappa: float) -> float:
@@ -481,13 +488,13 @@ def main(argv=None) -> int:
         return 2
     try:
         COMMANDS[args.command](cfg, out, args)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}),
               file=sys.stderr)
         return 2
     except (StabilityError, lindblad.UnstableDynamics,
-            lindblad.TruncationError, ValueError,
-            np.linalg.LinAlgError) as exc:
+            lindblad.TruncationError, lindblad.AmbiguousSector, ArpackError,
+            ValueError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": str(exc), "kind": "numerical"}),
               file=sys.stderr)
         return 3

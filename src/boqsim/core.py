@@ -28,6 +28,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _require_finite(params, *names: str) -> None:
+    for name in names:
+        _require(math.isfinite(getattr(params, name)),
+                 f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Pumped SNAIL-resonator parameters.
@@ -44,6 +50,7 @@ class OscillatorParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "freq_a", "kappa", "delta_a", "lam")
         _require(self.kappa > 0, "kappa must be positive")
         _require(self.lam >= 0, "lam must be non-negative")
 
@@ -92,6 +99,7 @@ class TransmonParams:
     n_levels: int = 2
 
     def __post_init__(self):
+        _require_finite(self, "delta_q", "g", "chi_q", "gamma_1", "gamma_phi")
         _require(self.g > 0, "g must be positive")
         _require(self.n_levels >= 2, "n_levels must be >= 2")
         _require(self.gamma_1 >= 0 and self.gamma_phi >= 0,
@@ -118,6 +126,7 @@ class DriveSpec:
     theta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "n_d", "detuning_d", "theta")
         _require(self.n_d >= 0, "n_d must be non-negative")
 
 

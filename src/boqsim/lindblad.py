@@ -7,10 +7,31 @@ not the squeezing frame, so agreement with the perturbative results of the
 other modules is a genuine independent check.  Superoperators use the
 column-stacking convention: vec(rho) stacks columns (Fortran order), and
 vec(A X B) = kron(B.T, A) vec(X).
+
+Parity sectors: basis state k * n_fock + n (transmon level k, Fock number n)
+has excitation parity (k + n) mod 2, and vec(rho) entry rho[i, j] lies in
+the sector par[i] xor par[j].  Without a coherent drive the Hamiltonian
+conserves that parity (the pump a^2 and the exchange b^dag a both keep it)
+and every jump operator (a, the transmon lowering operator, the level-number
+operator) has a definite parity, so the Liouvillian is block-diagonal in the
+sector (a weak Z2 symmetry: Albert & Jiang, PRA 89, 022118 (2014)).  The
+steady state is solved in the even block and the |g><e| coherence
+eigenvalue in the odd block; a coherent drive breaks the symmetry, and the
+same functions then work in the full space.  Every steady state is still
+checked against the residual of the full Liouvillian.
+
+qubit_shift_dephasing memoizes each run's coherence eigenvalue on its frozen
+(params, q, drive, cfg).  A pump-amplitude sweep that keeps one
+LindbladConfig for every lam (a fixed n_fock) therefore computes the pump-off
+reference, which is also its lam = 0 run, once.  A sweep whose truncation
+follows lam (default_n_fock, the CLI's default when no n_fock is given)
+gives every lam > 0 its own config, so each of those points still runs its
+own pump-off reference, and the memo saves only the lam = 0 duplicate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict, field
@@ -237,16 +258,32 @@ class SteadyStateResult:
         return json.dumps(payload, indent=2)
 
 
+def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:
+    """Sorted vec(rho) indices of the excitation-parity sector `parity`
+    (0 even, 1 odd); every index when a coherent drive breaks the symmetry."""
+    n_vec = liou.dim * liou.dim
+    if liou.drive is not None and liou.drive.n_d > 0.0:
+        return np.arange(n_vec)
+    basis = np.arange(liou.dim)
+    par = (basis // liou.n_fock + basis % liou.n_fock) % 2
+    # column stacking: vec index i + j * dim holds rho[i, j]
+    sector = np.bitwise_xor.outer(par, par).reshape(-1, order="F")
+    return np.flatnonzero(sector == parity)
+
+
 def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
     dim = liou.dim
-    mat = liou.matrix.tolil(copy=True)
-    # replace the first equation by the unit-trace condition
-    trace_row = np.zeros(dim * dim)
-    trace_row[np.arange(dim) * (dim + 1)] = 1.0
-    mat[0, :] = trace_row
-    rhs = np.zeros(dim * dim, dtype=complex)
+    sec = _parity_sector(liou, 0)
+    # replace the first equation (that of rho[0, 0], sec[0]) by the
+    # unit-trace condition; the diagonal of rho lies in the even sector
+    diag = np.searchsorted(sec, np.arange(dim) * (dim + 1))
+    trace_row = sp.csr_matrix((np.ones(dim), (np.zeros(dim, dtype=int), diag)),
+                              shape=(1, len(sec)))
+    mat = sp.vstack([trace_row, liou.matrix[sec[1:]][:, sec]], format="csc")
+    rhs = np.zeros(len(sec), dtype=complex)
     rhs[0] = 1.0
-    vec = spla.spsolve(mat.tocsc(), rhs)
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[sec] = spla.spsolve(mat, rhs)
     rho = vec.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(liou.matrix @ rho.reshape(-1, order="F"))
@@ -324,9 +361,13 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_ss: np.ndarray,
     if liou.sigma_minus_full is None:
         raise ValueError("no qubit in this Liouvillian")
     target = (rho_ss @ liou.sigma_minus_full).reshape(-1, order="F")
-    target = target / np.linalg.norm(target)
-    k = min(k, liou.matrix.shape[0] - 2)
-    vals, vecs = spla.eigs(liou.matrix, k=k, sigma=sigma_guess,
+    # even rho_ss times odd sigma_minus is odd: the target lies in the odd
+    # sector, so restricting it to that sector drops only exact zeros
+    sec = _parity_sector(liou, 1)
+    target = target[sec] / np.linalg.norm(target)
+    block = liou.matrix[sec][:, sec]
+    k = min(k, block.shape[0] - 2)
+    vals, vecs = spla.eigs(block, k=k, sigma=sigma_guess,
                            v0=target.astype(complex))
     overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
     order = np.argsort(overlaps)[::-1]
@@ -369,16 +410,24 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     """
     p_off = OscillatorParams(freq_a=p.freq_a, kappa=p.kappa,
                              delta_a=p.delta_a, lam=0.0)
-    eigs_found = {}
-    for label, params in (("off", p_off), ("on", p)):
-        liou = build_liouvillian(params, q, drive, cfg)
-        res = steady_state(liou, check_convergence=False, keep_rho=True)
-        sigma_guess = 1j * q.delta_q - 0.5 * q.gamma_t - 0.25 * p.kappa
-        eigs_found[label] = _coherence_eigenvalue(liou, res.rho, sigma_guess)
-    d_omega = eigs_found["on"].imag - eigs_found["off"].imag
-    d_gamma = -(eigs_found["on"].real - eigs_found["off"].real)
-    return OracleShift(d_omega_q=d_omega, d_gamma_phi=d_gamma,
-                       eig_on=eigs_found["on"], eig_off=eigs_found["off"])
+    eig_off = _run_coherence_eigenvalue(p_off, q, drive, cfg)
+    eig_on = _run_coherence_eigenvalue(p, q, drive, cfg)
+    return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,
+                       d_gamma_phi=-(eig_on.real - eig_off.real),
+                       eig_on=eig_on, eig_off=eig_off)
+
+
+@functools.lru_cache(maxsize=32)
+def _run_coherence_eigenvalue(p: OscillatorParams, q: TransmonParams,
+                              drive: DriveSpec | None,
+                              cfg: LindbladConfig) -> complex:
+    """Coherence eigenvalue of one oracle run, memoized on the frozen
+    inputs.  Sweep points with the same cfg share one pump-off reference,
+    and the lam = 0 run is that same reference."""
+    liou = build_liouvillian(p, q, drive, cfg)
+    res = steady_state(liou, check_convergence=False, keep_rho=True)
+    sigma_guess = 1j * q.delta_q - 0.5 * q.gamma_t - 0.25 * p.kappa
+    return _coherence_eigenvalue(liou, res.rho, sigma_guess)
 
 
 def _squeezed_fock_states(r_signed: float, n_fock: int,

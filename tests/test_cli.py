@@ -5,8 +5,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+from boqsim import lindblad
 from boqsim.cli import main
 
 FAST_GAIN_MAP = "delta_a_list = 0,30\nprobe_points = 41\nlam_points = 4\n"
@@ -184,12 +187,50 @@ class TestContracts:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    @pytest.mark.parametrize("line", ["g = nan", "chi_q = inf",
+                                      "freq_a = nan"])
+    def test_non_finite_parameter_is_config_error(self, tmp_path, capsys,
+                                                  line):
+        code, _ = run(tmp_path, "qubit_response",
+                      config=f"delta_a_list = 20\nlam_points = 2\n{line}\n")
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
     def test_unstable_request_is_numerical_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "lam_ratios = 1.5\n")
         code = main(["oracle_compare", "--out", str(tmp_path), "--config",
                      str(cfg)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+
+class TestOracleFailures:
+    CFG = "delta_a_list = 20\nlam_points = 2\nn_fock = 12\n"
+
+    def _raise(self, monkeypatch, exc):
+        def fail(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(lindblad, "qubit_shift_dephasing", fail)
+
+    @pytest.mark.parametrize("exc", [
+        lindblad.AmbiguousSector("two candidate eigenvalues"),
+        ArpackNoConvergence("no convergence", np.array([]), np.array([])),
+        ArpackError(-9999),
+    ], ids=["ambiguous_sector", "arpack_no_convergence", "arpack_error"])
+    def test_oracle_failure_is_numerical_error(self, tmp_path, capsys,
+                                               monkeypatch, exc):
+        self._raise(monkeypatch, exc)
+        code, _ = run(tmp_path, "qubit_response", "--oracle",
+                      config=self.CFG)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+    def test_key_error_is_not_reported_as_config(self, tmp_path,
+                                                 monkeypatch):
+        self._raise(monkeypatch, KeyError("bug"))
+        with pytest.raises(KeyError, match="bug"):
+            run(tmp_path, "qubit_response", "--oracle", config=self.CFG)
 
 
 def write_cfg(tmp_path: Path, text: str) -> Path:

@@ -47,6 +47,30 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="n_d"):
             DriveSpec(n_d=-0.1)
 
+    @pytest.mark.parametrize("field", ["freq_a", "kappa", "delta_a", "lam"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_oscillator_fields_must_be_finite(self, field, bad):
+        kwargs = {"freq_a": 6940.0, "kappa": 8.7, "delta_a": 20.0, "lam": 1.0}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OscillatorParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["delta_q", "g", "chi_q", "gamma_1",
+                                       "gamma_phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_transmon_fields_must_be_finite(self, field, bad):
+        kwargs = {"delta_q": -80.0, "g": 4.9, "chi_q": -114.0,
+                  "gamma_1": 5.0, "gamma_phi": 2.2}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TransmonParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_d", "detuning_d", "theta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_drive_fields_must_be_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DriveSpec(**{field: bad})
+
 
 class TestStabilityThresholds:
     def test_critical_amplitude_resonant(self):

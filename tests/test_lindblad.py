@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+from boqsim import lindblad
 from boqsim import (
     DriveSpec,
     LindbladConfig,
@@ -159,3 +162,166 @@ class TestChiExact:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=1.0)
         with pytest.raises(ValueError, match="detuned"):
             chi_exact(p, Q_OP, LindbladConfig(n_fock=16, n_transmon=2))
+
+
+def _vec_parities(liou):
+    """Excitation parity of every vec(rho) index: basis state k * n_fock + n
+    has parity (k + n) mod 2, and rho[i, j] sits at vec index i + j * dim."""
+    basis = np.arange(liou.dim)
+    par = (basis // liou.n_fock + basis % liou.n_fock) % 2
+    return np.array([par[i] ^ par[j] for j in range(liou.dim)
+                     for i in range(liou.dim)])
+
+
+def _cross_blocks(liou):
+    vec_par = _vec_parities(liou)
+    even = np.flatnonzero(vec_par == 0)
+    odd = np.flatnonzero(vec_par == 1)
+    return liou.matrix[even][:, odd], liou.matrix[odd][:, even]
+
+
+def _full_space_rho(liou):
+    """Steady state from the whole Liouvillian, first row replaced by the
+    unit-trace condition."""
+    dim = liou.dim
+    mat = liou.matrix.tolil(copy=True)
+    trace_row = np.zeros(dim * dim)
+    trace_row[np.arange(dim) * (dim + 1)] = 1.0
+    mat[0, :] = trace_row
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    rho = spla.spsolve(mat.tocsc(), rhs).reshape((dim, dim), order="F")
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _sigma_guess(p, q):
+    return 1j * q.delta_q - 0.5 * q.gamma_t - 0.25 * p.kappa
+
+
+@st.composite
+def undriven_systems(draw, levels=(1, 2, 3)):
+    """Stable, undriven (p, q, cfg) in the dispersive regime, n_fock <= 10."""
+    n_transmon = draw(st.sampled_from(levels))
+    delta_a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(5.0, 40.0))
+    p = OscillatorParams(freq_a=0.0, kappa=draw(st.floats(2.0, 12.0)),
+                         delta_a=delta_a,
+                         lam=draw(st.floats(0.0, 0.8)) * abs(delta_a))
+    q = None
+    if n_transmon > 1:
+        q = TransmonParams(delta_q=delta_a + draw(st.floats(-120.0, -60.0)),
+                           g=draw(st.floats(1.0, 6.0)),
+                           chi_q=draw(st.floats(-150.0, -80.0)),
+                           gamma_1=draw(st.floats(0.5, 6.0)),
+                           gamma_phi=draw(st.floats(0.0, 3.0)),
+                           n_levels=n_transmon)
+    cfg = LindbladConfig(n_fock=draw(st.integers(6, 10)),
+                         n_transmon=n_transmon)
+    return p, q, cfg
+
+
+class TestParitySectors:
+    @settings(max_examples=25, deadline=None)
+    @given(undriven_systems())
+    def test_cross_parity_blocks_are_empty(self, system):
+        liou = build_liouvillian(*system[:2], cfg=system[2])
+        assert all(block.nnz == 0 for block in _cross_blocks(liou))
+        vec_par = _vec_parities(liou)
+        for parity in (0, 1):
+            assert np.array_equal(lindblad._parity_sector(liou, parity),
+                                  np.flatnonzero(vec_par == parity))
+
+    @settings(max_examples=25, deadline=None)
+    @given(undriven_systems())
+    def test_sector_steady_state_matches_full_space(self, system):
+        liou = build_liouvillian(*system[:2], cfg=system[2])
+        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(undriven_systems(levels=(2, 3)))
+    def test_sector_coherence_eigenvalue_matches_full_space(self, system):
+        p, q, cfg = system
+        liou = build_liouvillian(p, q, cfg=cfg)
+        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        sector = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
+        target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")
+        vals, vecs = spla.eigs(liou.matrix, k=10, sigma=_sigma_guess(p, q),
+                               v0=target)
+        overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs,
+                                                                   axis=0)
+        full = vals[np.argmax(overlaps)]
+        assert abs(sector - full) <= 1e-10 * max(1.0, abs(full))
+
+    def test_drive_breaks_parity_and_uses_full_space(self):
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
+        liou = build_liouvillian(p, Q_OP, DriveSpec(n_d=0.3, theta=0.3),
+                                 LindbladConfig(n_fock=8, n_transmon=3))
+        assert all(block.nnz > 0 for block in _cross_blocks(liou))
+        every = np.arange(liou.dim ** 2)
+        for parity in (0, 1):
+            assert np.array_equal(lindblad._parity_sector(liou, parity),
+                                  every)
+        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
+
+
+class TestPumpOffMemo:
+    CFG = LindbladConfig(n_fock=10, n_transmon=3)
+
+    @staticmethod
+    def params(lam, delta_a=20.0):
+        return OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=delta_a,
+                                lam=lam)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        lindblad._run_coherence_eigenvalue.cache_clear()
+        calls = []
+        real = lindblad.build_liouvillian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "build_liouvillian", counting)
+        yield calls
+        lindblad._run_coherence_eigenvalue.cache_clear()
+
+    def test_zero_pump_is_exactly_zero(self, builds):
+        orc = qubit_shift_dephasing(self.params(0.0), Q_OP, self.CFG)
+        assert orc.d_omega_q == 0.0
+        assert orc.d_gamma_phi == 0.0
+        assert len(builds) == 1
+
+    def test_sweep_builds_pump_off_reference_once(self, builds):
+        for lam in (0.0, 4.0, 8.0):
+            qubit_shift_dephasing(self.params(lam), Q_OP, self.CFG)
+        assert len(builds) == 3
+        assert [p.lam for p in builds] == [0.0, 4.0, 8.0]
+
+    def test_lam_dependent_truncation_shares_only_the_zero_point(self,
+                                                                 builds):
+        # with n_fock = default_n_fock(p) every lam > 0 has its own config,
+        # so it runs its own pump-off reference
+        n_focks = set()
+        for lam in (0.0, 1.0, 2.0):
+            p = self.params(lam)
+            n_focks.add(default_n_fock(p))
+            qubit_shift_dephasing(
+                p, Q_OP, LindbladConfig(n_fock=default_n_fock(p),
+                                        n_transmon=3))
+        assert len(n_focks) == 3
+        assert [p.lam for p in builds] == [0.0, 0.0, 1.0, 0.0, 2.0]
+
+    def test_different_inputs_miss_the_cache(self, builds):
+        qubit_shift_dephasing(self.params(4.0), Q_OP, self.CFG)
+        assert len(builds) == 2
+        q2 = TransmonParams(delta_q=-80.0, g=4.0, chi_q=-114.0, gamma_1=5.0,
+                            gamma_phi=2.2, n_levels=3)
+        qubit_shift_dephasing(self.params(4.0), q2, self.CFG)
+        assert len(builds) == 4
+        qubit_shift_dephasing(self.params(4.0), Q_OP,
+                              LindbladConfig(n_fock=12, n_transmon=3))
+        assert len(builds) == 6
+        qubit_shift_dephasing(self.params(4.0, delta_a=25.0), Q_OP, self.CFG)
+        assert len(builds) == 8
