@@ -21,9 +21,9 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError
 
 from . import calibration, dispersive, lindblad, scattering, spectral
-from .core import (DriveSpec, OscillatorParams, StabilityError,
-                   TransmonParams, frame_of, lambda_coalescence,
-                   lambda_critical, parse_flat, validate)
+from .core import (BogoliubovFrame, DriveSpec, OscillatorParams,
+                   StabilityError, TransmonParams, frame_of,
+                   lambda_coalescence, lambda_critical, read_config, validate)
 
 # default squeezing-amplitude cap for qubit-facing sweeps (dB); keeps the
 # oscillator occupancy at or below ~1.2 photons on every branch
@@ -38,27 +38,64 @@ class ConfigError(ValueError):
 # config and output plumbing
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    return parse_flat(text)
+def _floats(raw) -> tuple[float, ...]:
+    """A number, a JSON list of numbers, or comma-separated text."""
+    if isinstance(raw, str):
+        raw = [tok for tok in raw.split(",") if tok.strip()]
+    return tuple(map(float, raw if isinstance(raw, list) else [raw]))
 
 
-def _get_floats(cfg: dict, key: str, default: list[float]) -> list[float]:
-    raw = cfg.get(key)
-    if raw is None:
-        return list(default)
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    if isinstance(raw, (list, tuple)):
-        return [float(x) for x in raw]
-    try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: expected numbers") from exc
+def _int(raw) -> int:
+    if not float(raw).is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(float(raw))
+
+
+_OSCILLATOR = {"kappa": (float, 8.7), "freq_a": (float, 6940.0)}
+_QUBIT = {**_OSCILLATOR, "delta_q": (float, None),
+          "delta_q_offset": (float, -100.0), "g": (float, 4.9),
+          "chi_q": (float, -114.0), "gamma_1": (float, 5.0),
+          "gamma_phi": (float, 2.2), "n_levels": (_int, 3),
+          "n_fock": (_int, None)}  # None: lindblad.default_n_fock per point
+
+# the config keys each command reads: name -> (type, default); a None
+# default means absent or computed from other values
+SCHEMA = {
+    "gain_map": {**_OSCILLATOR,
+                 "delta_a_list": (_floats, (0.0, 30.0, -30.0)),
+                 "probe_span": (float, 60.0), "probe_points": (_int, 241),
+                 "lam_points": (_int, 25), "lam_max_factor": (float, 0.98)},
+    "gbw": {**_OSCILLATOR, "delta_a_list": (_floats, (0.0, 30.0)),
+            "gains_db": (_floats, (3.0, 6.0, 9.0, 12.0))},
+    "qubit_response": {**_QUBIT, "lam_points": (_int, 21),
+                       "delta_a_list": (_floats, (0.0, 20.0, -20.0, 30.0,
+                                                  -30.0, 40.0, -40.0))},
+    "chi_sweep": {**_QUBIT, "delta_a_list": (_floats, (0.0, 20.0)),
+                  "lam_points": (_int, 13), "snr_db": (float, None)},
+    "oracle_compare": {**_QUBIT, "delta_a": (float, 20.0),
+                       "lam": (float, 17.0), "lam_ratios": (
+                           _floats, tuple(k / 10 for k in range(1, 10)))},
+}
+
+
+def resolve_config(command: str, raw: dict) -> dict:
+    """Every SCHEMA[command] key, typed; a missing or null value takes the
+    default.  Unknown keys, values of the wrong type and kappa <= 0 raise
+    ConfigError."""
+    schema = SCHEMA[command]
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {unknown}")
+    cfg = {}
+    for key, (kind, default) in schema.items():
+        val = raw.get(key)
+        try:
+            cfg[key] = default if val is None else kind(val)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    if not cfg["kappa"] > 0.0:
+        raise ConfigError(f"kappa must be positive, got {cfg['kappa']}")
+    return cfg
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -98,34 +135,31 @@ def write_csv(path: Path, meta: dict, header: list[str], rows,
     write_atomic(path, "".join(body))
 
 
-def _kappa(cfg: dict) -> float:
-    kappa = float(cfg.get("kappa", 8.7))
-    if not kappa > 0.0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
-    return kappa
-
-
 def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
     try:
-        return OscillatorParams(freq_a=float(cfg.get("freq_a", 6940.0)),
-                                kappa=float(cfg.get("kappa", 8.7)),
+        return OscillatorParams(freq_a=cfg["freq_a"], kappa=cfg["kappa"],
                                 delta_a=delta_a, lam=lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
-    delta_q = float(cfg.get("delta_q", delta_a
-                            + float(cfg.get("delta_q_offset", -100.0))))
+    delta_q = cfg["delta_q"]
+    delta_q = delta_a + cfg["delta_q_offset"] if delta_q is None else delta_q
     try:
-        return TransmonParams(delta_q=delta_q,
-                              g=float(cfg.get("g", 4.9)),
-                              chi_q=float(cfg.get("chi_q", -114.0)),
-                              gamma_1=float(cfg.get("gamma_1", 5.0)),
-                              gamma_phi=float(cfg.get("gamma_phi", 2.2)),
-                              n_levels=int(cfg.get("n_levels", 3)))
+        return TransmonParams(delta_q=delta_q, g=cfg["g"], chi_q=cfg["chi_q"],
+                              gamma_1=cfg["gamma_1"],
+                              gamma_phi=cfg["gamma_phi"],
+                              n_levels=cfg["n_levels"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _lindblad_config(cfg: dict, p: OscillatorParams):
+    n_fock = cfg["n_fock"]
+    if n_fock is None:
+        n_fock = lindblad.default_n_fock(p)
+    return lindblad.LindbladConfig(n_fock=n_fock, n_transmon=3)
 
 
 def _lam_cap_detuned(delta_a: float, kappa: float) -> float:
@@ -150,17 +184,14 @@ def _lam_cap_resonant(kappa: float) -> float:
 
 
 def cmd_gain_map(cfg: dict, out: Path, args) -> None:
-    kappa = _kappa(cfg)
-    deltas = _get_floats(cfg, "delta_a_list", [0.0, 30.0, -30.0])
-    span = float(cfg.get("probe_span", 60.0))
-    n_probe = int(cfg.get("probe_points", 241))
-    n_lam = int(cfg.get("lam_points", 25))
-    lam_factor = float(cfg.get("lam_max_factor", 0.98))
-    probes = np.linspace(-span, span, n_probe)
+    kappa, deltas = cfg["kappa"], cfg["delta_a_list"]
+    probes = np.linspace(-cfg["probe_span"], cfg["probe_span"],
+                         cfg["probe_points"])
     rows, skipped = [], []
     for delta_a in deltas:
         l_crit = lambda_critical(kappa, delta_a)
-        for lam in np.linspace(0.0, lam_factor * l_crit, n_lam):
+        for lam in np.linspace(0.0, cfg["lam_max_factor"] * l_crit,
+                               cfg["lam_points"]):
             p = _oscillator(cfg, delta_a, float(lam))
             if not validate(p).stable:
                 skipped.append(f"delta_a={delta_a} lam={lam:.6g}: unstable")
@@ -174,8 +205,9 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
                              float(ph)))
     meta = {"command": "gain_map", "kappa": kappa,
             "delta_a_list": ",".join(map(_fmt, deltas)),
-            "probe_span": span, "probe_points": n_probe,
-            "lam_points": n_lam, "seed": args.seed}
+            "probe_span": cfg["probe_span"],
+            "probe_points": cfg["probe_points"],
+            "lam_points": cfg["lam_points"], "seed": args.seed}
     write_csv(out / "gain_map.csv", meta,
               ["delta_a", "lam", "freq_mhz", "abs_db", "phase_rad"],
               rows, not args.no_timestamp)
@@ -200,15 +232,13 @@ def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
 
 
 def cmd_gbw(cfg: dict, out: Path, args) -> None:
-    kappa = _kappa(cfg)
-    deltas = _get_floats(cfg, "delta_a_list", [0.0, 30.0])
-    gains_db = _get_floats(cfg, "gains_db", [3.0, 6.0, 9.0, 12.0])
+    kappa, deltas = cfg["kappa"], cfg["delta_a_list"]
     rows = []
     for delta_a in deltas:
         span = max(3.0 * kappa, 2.0 * abs(delta_a) + 3.0 * kappa)
         grid = np.linspace(-span, span, 2001)
         l_co = lambda_coalescence(kappa, delta_a)
-        for g_db in gains_db:
+        for g_db in cfg["gains_db"]:
             g_target = 10.0 ** (g_db / 10.0)
             lam = _lambda_at_gain(cfg, kappa, delta_a, g_target, grid)
             p = _oscillator(cfg, delta_a, lam)
@@ -221,88 +251,68 @@ def cmd_gbw(cfg: dict, out: Path, args) -> None:
                          summ.n_peaks, merged))
     meta = {"command": "gbw", "kappa": kappa,
             "delta_a_list": ",".join(map(_fmt, deltas)),
-            "gains_db": ",".join(map(_fmt, gains_db)), "seed": args.seed}
+            "gains_db": ",".join(map(_fmt, cfg["gains_db"])),
+            "seed": args.seed}
     write_csv(out / "gbw.csv", meta,
               ["delta_a", "lam", "g_max_db", "peak_freq", "bw_3db",
                "bw_fit", "bw_sqrt_g", "n_peaks", "merged"],
               rows, not args.no_timestamp)
 
 
-def _chi0_transmon(q: TransmonParams, delta_a: float, kappa: float):
-    """Dispersive result at zero pump (r = 0, Omega_a = delta_a)."""
-    from .core import BogoliubovFrame
-    frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=delta_a)
-    return dispersive.chi_transmon(q, frame0, kappa=kappa)
-
-
-def _qubit_response_rows(cfg: dict, use_oracle: bool):
-    kappa = _kappa(cfg)
-    deltas = _get_floats(cfg, "delta_a_list",
-                         [0.0, 20.0, -20.0, 30.0, -30.0, 40.0, -40.0])
-    n_lam = int(cfg.get("lam_points", 21))
-    shift_rows, deph_rows = [], []
-    for delta_a in deltas:
+def _qubit_sweep(cfg: dict):
+    """The delta_a x lam grid of the qubit-facing commands, yielding
+    (p, q, frame, chi0, s_db).  frame is None at delta_a = 0 (resonant, no
+    squeezing frame); chi0 is the dispersive result at zero pump."""
+    kappa = cfg["kappa"]
+    for delta_a in cfg["delta_a_list"]:
         q = _transmon(cfg, delta_a)
-        if delta_a == 0.0:
-            chi0 = _chi0_transmon(q, delta_a, kappa).chi
-            for lam in np.linspace(0.0, _lam_cap_resonant(kappa), n_lam):
-                p = _oscillator(cfg, delta_a, float(lam))
-                res = spectral.resonant_driven_shift(p, chi0, DriveSpec())
-                mom = spectral.resonant_steady_state(p)
-                s_db = 10.0 * math.log10(mom.s_inf)
-                flags = ";".join(res.flags)
-                row = [delta_a, float(lam), s_db]
-                shift_rows.append(tuple(row + [res.d_omega_q, flags]))
-                deph_rows.append(tuple(row + [res.d_gamma_phi, flags]))
-            continue
-        chi_res0 = _chi0_transmon(q, delta_a, kappa)
-        for lam in np.linspace(0.0, _lam_cap_detuned(delta_a, kappa), n_lam):
+        chi0 = dispersive.chi_transmon(q, BogoliubovFrame(
+            r=0.0, s_db=0.0, omega_bog=delta_a), kappa=kappa)
+        lam_max = (_lam_cap_resonant(kappa) if delta_a == 0.0
+                   else _lam_cap_detuned(delta_a, kappa))
+        for lam in np.linspace(0.0, lam_max, cfg["lam_points"]):
             p = _oscillator(cfg, delta_a, float(lam))
-            frame = frame_of(p)
-            chi_res = dispersive.chi_transmon(q, frame, kappa=kappa)
-            res = spectral.shift_undriven(
-                chi_res.chi, chi_res0.chi, frame, kappa, variant="transmon",
-                delta_q_2_r=chi_res.delta_q_2, delta_q_2_0=chi_res0.delta_q_2)
-            flags = list(res.flags)
-            if not chi_res.dispersive_valid:
-                flags.append("dispersive_invalid")
-            row = [delta_a, float(lam), frame.s_db]
-            if use_oracle:
-                lcfg = lindblad.LindbladConfig(
-                    n_fock=int(cfg.get("n_fock", lindblad.default_n_fock(p))),
-                    n_transmon=3)
-                orc = lindblad.qubit_shift_dephasing(p, q, lcfg)
-                shift_rows.append(tuple(
-                    row + [res.d_omega_q, orc.d_omega_q, ";".join(flags)]))
-                deph_rows.append(tuple(
-                    row + [res.d_gamma_phi, orc.d_gamma_phi,
-                           ";".join(flags)]))
+            if delta_a == 0.0:
+                s_inf = spectral.resonant_steady_state(p).s_inf
+                yield p, q, None, chi0, 10.0 * math.log10(s_inf)
             else:
-                shift_rows.append(tuple(row + [res.d_omega_q,
-                                               ";".join(flags)]))
-                deph_rows.append(tuple(row + [res.d_gamma_phi,
-                                              ";".join(flags)]))
-    return kappa, deltas, shift_rows, deph_rows
+                frame = frame_of(p)
+                yield p, q, frame, chi0, frame.s_db
 
 
 def cmd_qubit_response(cfg: dict, out: Path, args) -> None:
-    kappa, deltas, shift_rows, deph_rows = _qubit_response_rows(
-        cfg, args.oracle)
-    meta = {"command": "qubit_response", "kappa": kappa,
-            "delta_a_list": ",".join(map(_fmt, deltas)),
+    shift_rows, deph_rows = [], []
+    for p, q, frame, chi0, s_db in _qubit_sweep(cfg):
+        if frame is None:
+            res = spectral.resonant_driven_shift(p, chi0.chi, DriveSpec())
+            flags = list(res.flags)
+        else:
+            chi_res = dispersive.chi_transmon(q, frame, kappa=p.kappa)
+            res = spectral.shift_undriven(
+                chi_res.chi, chi0.chi, frame, p.kappa, variant="transmon",
+                delta_q_2_r=chi_res.delta_q_2, delta_q_2_0=chi0.delta_q_2)
+            flags = list(res.flags)
+            if not chi_res.dispersive_valid:
+                flags.append("dispersive_invalid")
+        shift = [p.delta_a, p.lam, s_db, res.d_omega_q]
+        deph = [p.delta_a, p.lam, s_db, res.d_gamma_phi]
+        if args.oracle:
+            # as in chi_sweep, the oracle covers the detuned branch only
+            orc = (None if frame is None else lindblad.qubit_shift_dephasing(
+                p, q, _lindblad_config(cfg, p)))
+            shift.append(float("nan") if orc is None else orc.d_omega_q)
+            deph.append(float("nan") if orc is None else orc.d_gamma_phi)
+        shift_rows.append((*shift, ";".join(flags)))
+        deph_rows.append((*deph, ";".join(flags)))
+    meta = {"command": "qubit_response", "kappa": cfg["kappa"],
+            "delta_a_list": ",".join(map(_fmt, cfg["delta_a_list"])),
             "s_db_cap": S_DB_CAP, "oracle": int(args.oracle),
             "seed": args.seed}
-    base = ["delta_a", "lam", "s_db"]
-    if args.oracle:
-        h_shift = base + ["d_omega_q", "d_omega_q_oracle", "flags"]
-        h_deph = base + ["d_gamma_phi", "d_gamma_phi_oracle", "flags"]
-    else:
-        h_shift = base + ["d_omega_q", "flags"]
-        h_deph = base + ["d_gamma_phi", "flags"]
-    write_csv(out / "qubit_shift.csv", meta, h_shift, shift_rows,
-              not args.no_timestamp)
-    write_csv(out / "qubit_dephasing.csv", meta, h_deph, deph_rows,
-              not args.no_timestamp)
+    for name, col, rows in (("qubit_shift.csv", "d_omega_q", shift_rows),
+                            ("qubit_dephasing.csv", "d_gamma_phi", deph_rows)):
+        cols = [col, col + "_oracle"] if args.oracle else [col]
+        write_csv(out / name, meta, ["delta_a", "lam", "s_db", *cols, "flags"],
+                  rows, not args.no_timestamp)
 
 
 def _fit_chi_synthetic(chi_true: float, frame, kappa: float,
@@ -328,57 +338,38 @@ def _fit_chi_synthetic(chi_true: float, frame, kappa: float,
 
 
 def cmd_chi_sweep(cfg: dict, out: Path, args) -> None:
-    kappa = _kappa(cfg)
-    deltas = _get_floats(cfg, "delta_a_list", [0.0, 20.0])
-    n_lam = int(cfg.get("lam_points", 13))
-    snr_db = cfg.get("snr_db")
-    snr_db = float(snr_db) if snr_db is not None else None
     rng = np.random.default_rng(args.seed)
     rows = []
-    for delta_a in deltas:
-        q = _transmon(cfg, delta_a)
-        chi0 = _chi0_transmon(q, delta_a, kappa).chi
-        if delta_a == 0.0:
+    for p, q, frame, chi0, s_db in _qubit_sweep(cfg):
+        if frame is None:
             # resonant branch: shift per intracavity photon; flat by
             # construction of the photon-number normalization
-            for lam in np.linspace(0.0, _lam_cap_resonant(kappa), n_lam):
-                p = _oscillator(cfg, delta_a, float(lam))
-                n_ds = np.linspace(0.1, 0.6, 6)
-                d_omega, n_cav = [], []
-                for n_d in n_ds:
-                    res = spectral.resonant_driven_shift(
-                        p, chi0, DriveSpec(n_d=n_d, theta=math.pi / 4.0))
-                    d_omega.append(res.parts["drive"])
-                    n_cav.append(res.parts["drive"] / chi0)
-                chi_fit = float(np.polyfit(n_cav, d_omega, 1)[0])
-                s_db = 10.0 * math.log10(
-                    spectral.resonant_steady_state(p).s_inf)
-                row = [delta_a, float(lam), s_db, chi0, chi_fit]
-                if args.oracle:
-                    row.append(float("nan"))  # no squeezing frame at delta_a=0
-                rows.append(tuple(row))
-            continue
-        for lam in np.linspace(0.0, _lam_cap_detuned(delta_a, kappa), n_lam):
-            p = _oscillator(cfg, delta_a, float(lam))
-            frame = frame_of(p)
-            chi_r = dispersive.chi_transmon(q, frame, kappa=kappa).chi
-            chi_fit = _fit_chi_synthetic(chi_r, frame, kappa, snr_db, rng)
-            row = [delta_a, float(lam), frame.s_db, chi_r, chi_fit]
-            if args.oracle:
-                lcfg = lindblad.LindbladConfig(
-                    n_fock=int(cfg.get("n_fock", lindblad.default_n_fock(p))),
-                    n_transmon=3)
-                if lam == 0.0:
-                    row.append(chi0)
-                else:
-                    row.append(lindblad.chi_exact(p, q, lcfg))
-            rows.append(tuple(row))
+            chi_r = chi0.chi
+            d_omega = [spectral.resonant_driven_shift(p, chi_r, DriveSpec(
+                n_d=n_d, theta=math.pi / 4.0)).parts["drive"]
+                for n_d in np.linspace(0.1, 0.6, 6)]
+            n_cav = np.divide(d_omega, chi_r)
+            chi_fit = float(np.polyfit(n_cav, d_omega, 1)[0])
+        else:
+            chi_r = dispersive.chi_transmon(q, frame, kappa=p.kappa).chi
+            chi_fit = _fit_chi_synthetic(chi_r, frame, p.kappa,
+                                         cfg["snr_db"], rng)
+        row = [p.delta_a, p.lam, s_db, chi_r, chi_fit]
+        if args.oracle:
+            if frame is None:
+                row.append(float("nan"))  # no squeezing frame at delta_a=0
+            elif p.lam == 0.0:
+                row.append(chi0.chi)
+            else:
+                row.append(lindblad.chi_exact(p, q, _lindblad_config(cfg, p)))
+        rows.append(tuple(row))
     header = ["delta_a", "lam", "s_db", "chi_analytic", "chi_fit"]
     if args.oracle:
         header.append("chi_oracle")
-    meta = {"command": "chi_sweep", "kappa": kappa,
-            "delta_a_list": ",".join(map(_fmt, deltas)),
-            "snr_db": snr_db, "oracle": int(args.oracle), "seed": args.seed}
+    meta = {"command": "chi_sweep", "kappa": cfg["kappa"],
+            "delta_a_list": ",".join(map(_fmt, cfg["delta_a_list"])),
+            "snr_db": cfg["snr_db"], "oracle": int(args.oracle),
+            "seed": args.seed}
     write_csv(out / "chi_vs_lambda.csv", meta, header, rows,
               not args.no_timestamp)
 
@@ -388,11 +379,10 @@ def _rel(err_num: float, ref: float) -> float:
 
 
 def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
-    kappa = _kappa(cfg)
+    kappa = cfg["kappa"]
     thetas = np.array([0.0, math.pi / 4.0, math.pi / 2.0])
     resonant = []
-    for ratio in _get_floats(cfg, "lam_ratios",
-                             list(np.round(np.arange(0.1, 0.95, 0.1), 2))):
+    for ratio in cfg["lam_ratios"]:
         p = _oscillator(cfg, 0.0, ratio * kappa / 2.0)
         mom = spectral.resonant_steady_state(p)
         liou = lindblad.build_liouvillian(p)
@@ -410,21 +400,19 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
             "n_fock": res.n_fock,
             "truncation_converged": res.truncation_converged,
         })
-    delta_a = float(cfg.get("delta_a", 20.0))
-    lam = float(cfg.get("lam", 17.0))
+    delta_a, lam = cfg["delta_a"], cfg["lam"]
     p = _oscillator(cfg, delta_a, lam)
     q = _transmon(cfg, delta_a)
     frame = frame_of(p)
     chi_res = dispersive.chi_transmon(q, frame, kappa=kappa)
-    chi_res0 = _chi0_transmon(q, delta_a, kappa)
+    chi_res0 = dispersive.chi_transmon(q, BogoliubovFrame(
+        r=0.0, s_db=0.0, omega_bog=delta_a), kappa=kappa)
     anom = spectral.anomalous_moment(p, frame)
     ana = spectral.shift_undriven(
         chi_res.chi, chi_res0.chi, frame, kappa, variant="transmon",
         delta_q_2_r=chi_res.delta_q_2, delta_q_2_0=chi_res0.delta_q_2,
         chi_anomalous=chi_res.chi_anomalous, anomalous=anom)
-    lcfg = lindblad.LindbladConfig(
-        n_fock=int(cfg.get("n_fock", lindblad.default_n_fock(p))),
-        n_transmon=3)
+    lcfg = _lindblad_config(cfg, p)
     orc = lindblad.qubit_shift_dephasing(p, q, lcfg)
     chi_ed = lindblad.chi_exact(p, q, lcfg)
     report = {
@@ -466,38 +454,41 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None,
-                         help="flat 'name = value' or JSON parameter file")
+                         help="flat 'name = value' or JSON parameter file; "
+                              "keys are those of SCHEMA[command]")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--oracle", action="store_true",
-                         help="add Lindblad-oracle columns (slow)")
+        if name in ("qubit_response", "chi_sweep"):
+            cmd.add_argument("--oracle", action="store_true",
+                             help="add Lindblad-oracle columns (slow)")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--no-timestamp", action="store_true",
                          help="omit the timestamp metadata line")
     return parser
 
 
+def _report(exc: Exception, kind: str) -> int:
+    """One-line JSON error on stderr; returns the exit code of its kind."""
+    print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
+    return 2 if kind == "config" else 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        raw = {} if args.config is None else read_config(args.config)
+        cfg = resolve_config(args.command, raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "config"}),
-              file=sys.stderr)
-        return 2
+        return _report(exc, "config")
     try:
         COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
-        print(json.dumps({"error": str(exc), "kind": "config"}),
-              file=sys.stderr)
-        return 2
+        return _report(exc, "config")
     except (StabilityError, lindblad.UnstableDynamics,
             lindblad.TruncationError, lindblad.AmbiguousSector, ArpackError,
             ValueError, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "numerical"}),
-              file=sys.stderr)
-        return 3
+        return _report(exc, "numerical")
     return 0
 
 

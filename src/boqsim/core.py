@@ -244,15 +244,17 @@ def parse_flat(text: str) -> dict:
     return out
 
 
+def read_config(path: str | Path) -> dict:
+    """Read a flat-text or JSON file (JSON when it starts with '{')."""
+    text = Path(path).read_text()
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    return parse_flat(text)
+
+
 def load_params(cls, path: str | Path):
     """Load a parameter dataclass from a flat-text or JSON file."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-    else:
-        data = parse_flat(text)
-    return params_from_dict(cls, data)
+    return params_from_dict(cls, read_config(path))
 
 
 def save_params(params, path: str | Path, fmt: str = "flat") -> None:

@@ -81,28 +81,38 @@ def _eta(g: float, frame: BogoliubovFrame, delta_big: float, sigma_big: float,
     return num / min(abs(delta_big), abs(sigma_big))
 
 
-def chi_qubit(q: TransmonParams, frame: BogoliubovFrame, g: float | None = None,
-              kappa: float = 0.0) -> DispersiveResult:
-    """Two-level dispersive strength.
-
-    chi = 2 g^2 cosh^2 r / Delta[r] + 2 g^2 sinh^2 r / Sigma[r],
-    chi_a = (g^2 sinh 2r / delta_q) * delta_q^2 / (delta_q^2 - Omega_a^2).
-    """
-    if g is None:
-        g = q.g
-    delta_big, sigma_big = _detunings(q.delta_q, frame)
+def _dispersive(q: TransmonParams, frame: BogoliubovFrame, kappa: float,
+                delta_big: float, sigma_big: float,
+                straddle=(1.0, 1.0, 1.0, 1.0)) -> DispersiveResult:
+    """Shared body of chi_qubit and chi_transmon.  straddle holds the
+    transmon's chi_q/(chi_q + Delta), chi_q/(chi_q + Sigma), chi_q - Sigma
+    and chi_q + Sigma; the two-level qubit's unit factors are the default."""
+    f_delta, f_sigma, lamb_num, lamb_den = straddle
+    g = q.g
     ch2, sh2 = frame.cosh2, frame.sinh2
-    chi = 2.0 * g * g * ch2 / delta_big + 2.0 * g * g * sh2 / sigma_big
+    chi = (2.0 * g * g / delta_big * f_delta * ch2
+           + 2.0 * g * g / sigma_big * f_sigma * sh2)
+    delta_q_2 = (g * g * ch2 / delta_big
+                 + g * g * sh2 / sigma_big * lamb_num / lamb_den)
+    omega_a_2 = -g * g * ch2 / delta_big - g * g * sh2 / sigma_big
     sinh_2r = math.sinh(2.0 * frame.r)
     chi_anom = (g * g * sinh_2r / q.delta_q) * q.delta_q ** 2 / (
         q.delta_q ** 2 - frame.omega_bog ** 2)
-    # second-order renormalizations in the two-level limit
-    delta_q_2 = g * g * ch2 / delta_big + g * g * sh2 / sigma_big
-    omega_a_2 = -g * g * ch2 / delta_big - g * g * sh2 / sigma_big
     eta = _eta(g, frame, delta_big, sigma_big, kappa, q.gamma_1, q.gamma_phi)
     return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
                             chi_anomalous=chi_anom, eta=eta,
                             delta_q_2=delta_q_2, omega_a_2=omega_a_2)
+
+
+def chi_qubit(q: TransmonParams, frame: BogoliubovFrame,
+              kappa: float = 0.0) -> DispersiveResult:
+    """Two-level dispersive strength, the chi_q -> infinity limit of
+    chi_transmon.
+
+    chi = 2 g^2 cosh^2 r / Delta[r] + 2 g^2 sinh^2 r / Sigma[r],
+    chi_a = (g^2 sinh 2r / delta_q) * delta_q^2 / (delta_q^2 - Omega_a^2).
+    """
+    return _dispersive(q, frame, kappa, *_detunings(q.delta_q, frame))
 
 
 def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
@@ -114,26 +124,14 @@ def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
     Also returns the second-order frequency renormalizations
     delta_q^(2)[r] and Omega_a^(2)[r].
     """
-    g = q.g
     delta_big, sigma_big = _detunings(q.delta_q, frame)
     if q.chi_q + delta_big == 0.0:
         raise ValueError("straddling resonance: chi_q + Delta[r] = 0")
     if q.chi_q + sigma_big == 0.0:
         raise ValueError("straddling resonance: chi_q + Sigma[r] = 0")
-    ch2, sh2 = frame.cosh2, frame.sinh2
-    chi = (2.0 * g * g / delta_big * (q.chi_q / (q.chi_q + delta_big)) * ch2
-           + 2.0 * g * g / sigma_big * (q.chi_q / (q.chi_q + sigma_big)) * sh2)
-    delta_q_2 = (g * g * ch2 / delta_big
-                 + g * g * sh2 / sigma_big
-                 * (q.chi_q - sigma_big) / (q.chi_q + sigma_big))
-    omega_a_2 = -g * g * ch2 / delta_big - g * g * sh2 / sigma_big
-    sinh_2r = math.sinh(2.0 * frame.r)
-    chi_anom = (g * g * sinh_2r / q.delta_q) * q.delta_q ** 2 / (
-        q.delta_q ** 2 - frame.omega_bog ** 2)
-    eta = _eta(g, frame, delta_big, sigma_big, kappa, q.gamma_1, q.gamma_phi)
-    return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
-                            chi_anomalous=chi_anom, eta=eta,
-                            delta_q_2=delta_q_2, omega_a_2=omega_a_2)
+    return _dispersive(q, frame, kappa, delta_big, sigma_big, (
+        q.chi_q / (q.chi_q + delta_big), q.chi_q / (q.chi_q + sigma_big),
+        q.chi_q - sigma_big, q.chi_q + sigma_big))
 
 
 def dressed_losses(q: TransmonParams, frame: BogoliubovFrame,

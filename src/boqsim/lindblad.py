@@ -45,6 +45,10 @@ from .core import DriveSpec, OscillatorParams, TransmonParams, validate
 from .spectral import resonant_steady_state
 
 
+# Krylov size of the coherence eigensolve's retry (ARPACK's default: 21)
+_RETRY_NCV = 42
+
+
 class UnstableDynamics(RuntimeError):
     """The Liouvillian has no unique decaying steady state."""
 
@@ -367,8 +371,13 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_ss: np.ndarray,
     target = target[sec] / np.linalg.norm(target)
     block = liou.matrix[sec][:, sec]
     k = min(k, block.shape[0] - 2)
-    vals, vecs = spla.eigs(block, k=k, sigma=sigma_guess,
-                           v0=target.astype(complex))
+    opts = dict(k=k, sigma=sigma_guess, v0=target.astype(complex))
+    try:
+        vals, vecs = spla.eigs(block, **opts)
+    except spla.ArpackError:
+        # a tiny nonzero lam can stall ARPACK (error 3) at its default size
+        vals, vecs = spla.eigs(block, ncv=min(block.shape[0], _RETRY_NCV),
+                               **opts)
     overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
     order = np.argsort(overlaps)[::-1]
     best, second = order[0], order[1]

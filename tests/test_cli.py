@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from boqsim import lindblad
+from boqsim import cli, lindblad
 from boqsim.cli import main
+from boqsim.core import parse_flat
 
 FAST_GAIN_MAP = "delta_a_list = 0,30\nprobe_points = 41\nlam_points = 4\n"
 
@@ -104,6 +105,17 @@ class TestQubitResponse:
         assert code == 0
         rows = read_csv(out / "qubit_shift.csv")
         assert "d_omega_q_oracle" in rows[0]
+
+    @pytest.mark.parametrize("command", ["qubit_response", "chi_sweep"])
+    def test_oracle_rows_have_a_field_per_column(self, tmp_path, command):
+        cfg = "delta_a_list = 0,20\nlam_points = 2\nn_fock = 12\n"
+        code, out = run(tmp_path, command, "--oracle", config=cfg)
+        assert code == 0
+        for path in out.glob("*.csv"):
+            lines = [l for l in path.read_text().splitlines()
+                     if not l.startswith("#")]
+            widths = {len(l.split(",")) for l in lines}
+            assert widths == {len(lines[0].split(","))}, path.name
 
 
 class TestChiSweep:
@@ -202,6 +214,60 @@ class TestContracts:
                      str(cfg)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+
+FAST_CONFIGS = {
+    "gain_map": FAST_GAIN_MAP,
+    "gbw": "delta_a_list = 0\ngains_db = 6\n",
+    "qubit_response": "delta_a_list = 0,20\nlam_points = 3\n",
+    "chi_sweep": "delta_a_list = 0,20\nlam_points = 3\n",
+    "oracle_compare": "lam_ratios = 0.3\nn_fock = 12\n",
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", sorted(cli.SCHEMA))
+    def test_misspelled_keys_are_config_errors(self, tmp_path, capsys,
+                                               command):
+        code, _ = run(tmp_path, command,
+                      config="kapa = 5\ndelta_a_lst = 10\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config"
+        assert "kapa" in err["error"] and "delta_a_lst" in err["error"]
+
+    @pytest.mark.parametrize("command,line", [
+        ("gain_map", "probe_points = abc"),
+        ("gain_map", "lam_points = 2.5"),
+        ("gbw", "kappa = abc"),
+        ("qubit_response", "lam_points = abc"),
+        ("chi_sweep", "snr_db = abc"),
+        ("oracle_compare", "delta_a = abc"),
+    ])
+    def test_unreadable_value_is_config_error(self, tmp_path, capsys,
+                                              command, line):
+        code, _ = run(tmp_path, command, config=line + "\n")
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize("command", sorted(cli.SCHEMA))
+    def test_json_null_takes_the_default(self, tmp_path, command):
+        flat = FAST_CONFIGS[command]
+        given = parse_flat(flat)
+        nulls = {key: None for key in cli.SCHEMA[command] if key not in given}
+        code_flat, out_flat = run(tmp_path / "flat", command, config=flat)
+        code, out_json = run(tmp_path / "json", command,
+                             config=json.dumps({**given, **nulls}))
+        assert code_flat == code == 0
+        for path in out_flat.iterdir():
+            assert (out_json / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gain_map", "gbw",
+                                         "oracle_compare"])
+    def test_oracle_flag_only_on_oracle_commands(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--oracle"])
+        assert exc.value.code == 2
 
 
 class TestOracleFailures:

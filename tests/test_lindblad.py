@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boqsim import lindblad
 from boqsim import (
@@ -239,6 +239,12 @@ class TestParitySectors:
 
     @settings(max_examples=15, deadline=None)
     @given(undriven_systems(levels=(2, 3)))
+    # a tiny nonzero lam that stalls ARPACK at its default Krylov size
+    @example((OscillatorParams(freq_a=0.0, kappa=3.0, delta_a=-5.0,
+                               lam=5.398959531054032e-220),
+              TransmonParams(delta_q=-65.0, g=2.0, chi_q=-80.0, gamma_1=1.0,
+                             gamma_phi=0.0, n_levels=2),
+              LindbladConfig(n_fock=6, n_transmon=2)))
     def test_sector_coherence_eigenvalue_matches_full_space(self, system):
         p, q, cfg = system
         liou = build_liouvillian(p, q, cfg=cfg)
@@ -246,7 +252,7 @@ class TestParitySectors:
         sector = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
         target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")
         vals, vecs = spla.eigs(liou.matrix, k=10, sigma=_sigma_guess(p, q),
-                               v0=target)
+                               v0=target, ncv=lindblad._RETRY_NCV)
         overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs,
                                                                    axis=0)
         full = vals[np.argmax(overlaps)]
