@@ -159,7 +159,10 @@ def _lindblad_config(cfg: dict, p: OscillatorParams):
     n_fock = cfg["n_fock"]
     if n_fock is None:
         n_fock = lindblad.default_n_fock(p)
-    return lindblad.LindbladConfig(n_fock=n_fock, n_transmon=3)
+    try:
+        return lindblad.LindbladConfig(n_fock=n_fock, n_transmon=3)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _lam_cap_detuned(delta_a: float, kappa: float) -> float:

@@ -20,6 +20,17 @@ eigenvalue in the odd block; a coherent drive breaks the symmetry, and the
 same functions then work in the full space.  Every steady state is still
 checked against the residual of the full Liouvillian.
 
+Sparse LU: every factorization (_factorize) orders the columns by minimum
+degree on A^T + A and pivots with threshold 0.1, preferring the diagonal
+(SuperLU's symmetric mode; X. S. Li, ACM TOMS 31, 302 (2005)).  The
+Liouvillian blocks are nearly structurally symmetric, and this gives about
+half the fill of the default COLAMD ordering.  The coherence eigensolve
+factorizes block - sigma I once and hands the factorization to ARPACK as
+its shift-invert operator, the retry included.  The eigenpair it picks must
+have ||B v - mu v|| / ||v|| <= 1e-10 ||B||_1, or ArpackNoConvergence is
+raised.  build_liouvillian refuses, with TruncationError and before any
+allocation, a truncation of more than _MAX_UNKNOWNS unknowns.
+
 qubit_shift_dephasing memoizes each run's coherence eigenvalue on its frozen
 (params, q, drive, cfg).  A pump-amplitude sweep that keeps one
 LindbladConfig for every lam (a fixed n_fock) therefore computes the pump-off
@@ -47,6 +58,14 @@ from .spectral import resonant_steady_state
 
 # Krylov size of the coherence eigensolve's retry (ARPACK's default: 21)
 _RETRY_NCV = 42
+# largest accepted eigenpair residual ||B v - mu v|| / ||v||, relative to
+# ||B||_1 (found at <= 1e-13 relative on the benchmark's operating points)
+_EIG_RESIDUAL = 1e-10
+# largest Liouvillian build_liouvillian accepts, in unknowns (n_fock *
+# n_transmon)^2.  A steady state at the budget takes ~0.8 GB and ~5 s
+# (resonant, n_fock = 724); default_n_fock at lam = 0.99 kappa/2 would ask
+# for 2.1M unknowns, whose LU fill would exhaust a machine's memory
+_MAX_UNKNOWNS = 2 ** 19
 
 
 class UnstableDynamics(RuntimeError):
@@ -200,6 +219,12 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
             f"estimated occupation {occ:.3g} exceeds n_fock/4 = "
             f"{cfg.n_fock / 4:.3g}; increase n_fock to at least "
             f"{default_n_fock(p, drive)}")
+    unknowns = (cfg.n_fock * n_transmon) ** 2
+    if unknowns > _MAX_UNKNOWNS:
+        raise TruncationError(
+            f"n_fock = {cfg.n_fock} with {n_transmon} transmon level(s) "
+            f"gives {unknowns} unknowns, over the oracle's budget of "
+            f"{_MAX_UNKNOWNS}")
     h, a_full, b_low = _hamiltonian(p, q, drive, cfg.n_fock, n_transmon)
     dim = h.shape[0]
     ident = sp.identity(dim, format="csc")
@@ -275,6 +300,14 @@ def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:
     return np.flatnonzero(sector == parity)
 
 
+def _factorize(mat: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a Liouvillian block, ordered for its nearly symmetric
+    pattern: minimum degree on A^T + A with diagonal pivots preferred
+    (threshold 0.1), about half the fill of SuperLU's default COLAMD."""
+    return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
 def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
     dim = liou.dim
     sec = _parity_sector(liou, 0)
@@ -287,7 +320,7 @@ def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
     rhs = np.zeros(len(sec), dtype=complex)
     rhs[0] = 1.0
     vec = np.zeros(dim * dim, dtype=complex)
-    vec[sec] = spla.spsolve(mat, rhs)
+    vec[sec] = _factorize(mat).solve(rhs)
     rho = vec.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(liou.matrix @ rho.reshape(-1, order="F"))
@@ -301,17 +334,16 @@ def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
 def _moments(rho: np.ndarray, a_full: np.ndarray,
              thetas: np.ndarray) -> tuple[float, complex, np.ndarray,
                                           np.ndarray]:
-    ad = a_full.conj().T
-    n_mean = float(np.real(np.trace(rho @ (ad @ a_full))))
-    a_sq = complex(np.trace(rho @ (a_full @ a_full)))
-    var_x = np.empty(len(thetas))
-    var_p = np.empty(len(thetas))
-    for i, th in enumerate(thetas):
-        x = 0.5 * (a_full * np.exp(-1j * th) + ad * np.exp(1j * th))
-        pq = (a_full * np.exp(-1j * th) - ad * np.exp(1j * th)) / 2j
-        var_x[i] = float(np.real(np.trace(rho @ (x @ x))))
-        var_p[i] = float(np.real(np.trace(rho @ (pq @ pq))))
-    return n_mean, a_sq, var_x, var_p
+    # <M> = tr(rho M) = sum(rho.T * M) for the four quadratic operators;
+    # x_theta^2 and p_theta^2 expand into them exactly (a a^dag is kept:
+    # in the truncated space it is not a^dag a + 1)
+    a, ad = a_full, a_full.conj().T
+    aa, adad, aad, ada = (np.sum(rho.T * (m1 @ m2)) for m1, m2 in
+                          ((a, a), (ad, ad), (a, ad), (ad, a)))
+    rot = np.exp(-2j * thetas) * aa + np.exp(2j * thetas) * adad
+    var_x = 0.25 * np.real(rot + aad + ada)
+    var_p = 0.25 * np.real(aad + ada - rot)
+    return float(np.real(ada)), complex(aa), var_x, var_p
 
 
 def steady_state(liou: LiouvillianMatrix, thetas=None,
@@ -370,14 +402,18 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_ss: np.ndarray,
     sec = _parity_sector(liou, 1)
     target = target[sec] / np.linalg.norm(target)
     block = liou.matrix[sec][:, sec]
-    k = min(k, block.shape[0] - 2)
-    opts = dict(k=k, sigma=sigma_guess, v0=target.astype(complex))
+    n = block.shape[0]
+    # shift-invert: one factorization of block - sigma I serves every
+    # ARPACK back-solve, the retry's included
+    lu = _factorize(block - sigma_guess * sp.identity(n, format="csc"))
+    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    opts = dict(k=min(k, n - 2), sigma=sigma_guess, OPinv=opinv,
+                v0=target.astype(complex))
     try:
         vals, vecs = spla.eigs(block, **opts)
     except spla.ArpackError:
         # a tiny nonzero lam can stall ARPACK (error 3) at its default size
-        vals, vecs = spla.eigs(block, ncv=min(block.shape[0], _RETRY_NCV),
-                               **opts)
+        vals, vecs = spla.eigs(block, ncv=min(n, _RETRY_NCV), **opts)
     overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
     order = np.argsort(overlaps)[::-1]
     best, second = order[0], order[1]
@@ -386,7 +422,13 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_ss: np.ndarray,
             f"two candidate eigenvalues with comparable overlap: "
             f"{vals[best]:.6g} (|ov|={overlaps[best]:.3f}) and "
             f"{vals[second]:.6g} (|ov|={overlaps[second]:.3f})")
-    return complex(vals[best])
+    vec, val = vecs[:, best], vals[best]
+    residual = np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
+    if not residual <= _EIG_RESIDUAL * spla.norm(block, 1):
+        raise spla.ArpackNoConvergence(
+            f"coherence eigenpair {val:.6g} has residual {residual:.3g}",
+            vals, vecs)
+    return complex(val)
 
 
 @dataclass(frozen=True)

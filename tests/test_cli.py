@@ -208,6 +208,19 @@ class TestContracts:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
+    @pytest.mark.parametrize("command,extra,config", [
+        ("qubit_response", "--oracle", "delta_a_list = 20\nlam_points = 2\n"),
+        ("chi_sweep", "--oracle", "delta_a_list = 20\nlam_points = 2\n"),
+        ("oracle_compare", None, "lam_ratios = 0.3\n"),
+    ], ids=["qubit_response", "chi_sweep", "oracle_compare"])
+    def test_out_of_range_n_fock_is_config_error(self, tmp_path, capsys,
+                                                 command, extra, config):
+        code, _ = run(tmp_path, command, *filter(None, [extra]),
+                      config=config + "n_fock = 2\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and "n_fock" in err["error"]
+
     def test_unstable_request_is_numerical_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "lam_ratios = 1.5\n")
         code = main(["oracle_compare", "--out", str(tmp_path), "--config",

@@ -2,9 +2,11 @@
 eigenvalues, and exact-diagonalization dispersive strengths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
@@ -180,9 +182,9 @@ def _cross_blocks(liou):
     return liou.matrix[even][:, odd], liou.matrix[odd][:, even]
 
 
-def _full_space_rho(liou):
-    """Steady state from the whole Liouvillian, first row replaced by the
-    unit-trace condition."""
+def _full_space_system(liou):
+    """The whole Liouvillian with its first row replaced by the unit-trace
+    condition, and the matching right-hand side."""
     dim = liou.dim
     mat = liou.matrix.tolil(copy=True)
     trace_row = np.zeros(dim * dim)
@@ -190,7 +192,15 @@ def _full_space_rho(liou):
     mat[0, :] = trace_row
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-    rho = spla.spsolve(mat.tocsc(), rhs).reshape((dim, dim), order="F")
+    return mat.tocsc(), rhs
+
+
+def _full_space_rho(liou):
+    """Steady state from the whole Liouvillian, solved with scipy's default
+    sparse LU."""
+    dim = liou.dim
+    rho = spla.spsolve(*_full_space_system(liou)).reshape((dim, dim),
+                                                          order="F")
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -217,6 +227,23 @@ def undriven_systems(draw, levels=(1, 2, 3)):
     cfg = LindbladConfig(n_fock=draw(st.integers(6, 10)),
                          n_transmon=n_transmon)
     return p, q, cfg
+
+
+@st.composite
+def systems(draw, levels=(1, 2, 3)):
+    """An undriven system from undriven_systems, or the same with a coherent
+    drive (which breaks the parity symmetry): (p, q, drive, cfg)."""
+    p, q, cfg = draw(undriven_systems(levels))
+    drive = draw(st.none() | st.builds(
+        DriveSpec, n_d=st.floats(0.05, 0.5),
+        theta=st.floats(0.0, 2.0 * math.pi)))
+    return p, q, drive, cfg
+
+
+def _target_eigenvalue(vals, vecs, target):
+    """The eigenvalue whose mode overlaps the target most."""
+    overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
+    return vals[np.argmax(overlaps)]
 
 
 class TestParitySectors:
@@ -253,9 +280,7 @@ class TestParitySectors:
         target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")
         vals, vecs = spla.eigs(liou.matrix, k=10, sigma=_sigma_guess(p, q),
                                v0=target, ncv=lindblad._RETRY_NCV)
-        overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs,
-                                                                   axis=0)
-        full = vals[np.argmax(overlaps)]
+        full = _target_eigenvalue(vals, vecs, target)
         assert abs(sector - full) <= 1e-10 * max(1.0, abs(full))
 
     def test_drive_breaks_parity_and_uses_full_space(self):
@@ -331,3 +356,124 @@ class TestPumpOffMemo:
         assert len(builds) == 6
         qubit_shift_dephasing(self.params(4.0, delta_a=25.0), Q_OP, self.CFG)
         assert len(builds) == 8
+
+
+def _dense_moments(rho, a_full, thetas):
+    """The moments as one dense product per operator and angle: the
+    reference for lindblad._moments."""
+    ad = a_full.conj().T
+    n_mean = float(np.real(np.trace(rho @ (ad @ a_full))))
+    a_sq = complex(np.trace(rho @ (a_full @ a_full)))
+    var_x = np.empty(len(thetas))
+    var_p = np.empty(len(thetas))
+    for i, th in enumerate(thetas):
+        x = 0.5 * (a_full * np.exp(-1j * th) + ad * np.exp(1j * th))
+        pq = (a_full * np.exp(-1j * th) - ad * np.exp(1j * th)) / 2j
+        var_x[i] = float(np.real(np.trace(rho @ (x @ x))))
+        var_p[i] = float(np.real(np.trace(rho @ (pq @ pq))))
+    return n_mean, a_sq, var_x, var_p
+
+
+class TestFactorizedSolve:
+    """The fill-reducing LU (lindblad._factorize) against scipy's defaults."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(systems())
+    def test_solve_matches_default_spsolve(self, system):
+        p, q, drive, cfg = system
+        mat, rhs = _full_space_system(build_liouvillian(p, q, drive, cfg))
+        ref = spla.spsolve(mat, rhs)
+        got = lindblad._factorize(mat).solve(rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=15, deadline=None)
+    @given(systems(levels=(2, 3)))
+    def test_eigenvalue_matches_default_eigs(self, system):
+        p, q, drive, cfg = system
+        liou = build_liouvillian(p, q, drive, cfg)
+        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        got = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
+        sec = lindblad._parity_sector(liou, 1)
+        block = liou.matrix[sec][:, sec]
+        target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")[sec]
+        vals, vecs = spla.eigs(block, k=10, sigma=_sigma_guess(p, q),
+                               v0=target, ncv=lindblad._RETRY_NCV)
+        ref = _target_eigenvalue(vals, vecs, target)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_fill_at_oracle_shift_point(self):
+        # the benchmark's qubit_response --oracle point: delta_a = 20, its
+        # top pump amplitude, n_fock = 32, three levels (4608 odd unknowns)
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32,
+                                                             n_transmon=3))
+        sec = lindblad._parity_sector(liou, 1)
+        shifted = (liou.matrix[sec][:, sec]
+                   - _sigma_guess(p, Q_OP) * sp.identity(len(sec))).tocsc()
+        colamd = spla.splu(shifted)
+        ordered = lindblad._factorize(shifted)
+        fill = ordered.L.nnz + ordered.U.nnz
+        assert fill <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+    def test_wrong_eigenpair_is_rejected(self, monkeypatch):
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=8,
+                                                             n_transmon=3))
+        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        real = spla.eigs
+
+        def shifted(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals + 1e-3, vecs
+
+        monkeypatch.setattr(spla, "eigs", shifted)
+        with pytest.raises(spla.ArpackNoConvergence, match="residual"):
+            lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, Q_OP))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 12),
+           st.integers(1, 3))
+    def test_moments_match_dense_products(self, seed, n_fock, n_transmon):
+        rng = np.random.default_rng(seed)
+        dim = n_fock * n_transmon
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        a_full = np.kron(np.eye(n_transmon), lindblad.destroy(n_fock))
+        thetas = rng.uniform(0.0, math.pi, size=5)
+        got = lindblad._moments(rho, a_full, thetas)
+        ref = _dense_moments(rho, a_full, thetas)
+        for g_val, r_val in zip(got, ref):
+            assert np.max(np.abs(np.asarray(g_val) - r_val)) <= (
+                1e-13 * max(1.0, np.max(np.abs(r_val))))
+
+
+class TestUnknownsBudget:
+    @pytest.mark.parametrize("p,q,cfg", [
+        # default_n_fock sizes the resonant lam = 0.99 kappa/2 case at
+        # n_fock = 1457: 2.1M unknowns
+        (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
+                          lam=0.99 * 8.7 / 2.0), None, None),
+        # the transmon levels count: (3 * 242)^2 > 2^19 >= 242^2
+        (P_OP, Q_OP, LindbladConfig(n_fock=242, n_transmon=3)),
+    ], ids=["resonant_near_critical", "three_levels"])
+    def test_over_budget_raises_before_allocating(self, monkeypatch, p, q,
+                                                  cfg):
+        def no_hamiltonian(*_args, **_kwargs):
+            raise AssertionError("_hamiltonian called over the budget")
+
+        monkeypatch.setattr(lindblad, "_hamiltonian", no_hamiltonian)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match="unknowns"):
+                build_liouvillian(p, q, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_benchmark_largest_liouvillian_fits(self):
+        # oracle_compare's 2x truncation check at lam = 0.9 kappa/2
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
+                             lam=0.9 * 8.7 / 2.0)
+        assert (2 * default_n_fock(p)) ** 2 == 92416 <= lindblad._MAX_UNKNOWNS
