@@ -296,66 +296,86 @@ class TestParitySectors:
         assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
 
 
-class TestPumpOffMemo:
+class TestPumpOffReference:
+    """The pump-off reference runs at n_fock = 4, where it is exact."""
+
     CFG = LindbladConfig(n_fock=10, n_transmon=3)
 
     @staticmethod
-    def params(lam, delta_a=20.0):
-        return OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=delta_a,
-                                lam=lam)
+    def params(lam):
+        return OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=lam)
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        lindblad._run_coherence_eigenvalue.cache_clear()
+        """(lam, n_fock) of every Liouvillian built."""
         calls = []
         real = lindblad.build_liouvillian
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def counting(p, q=None, drive=None, cfg=None):
+            calls.append((p.lam, cfg.n_fock))
+            return real(p, q, drive, cfg)
 
         monkeypatch.setattr(lindblad, "build_liouvillian", counting)
-        yield calls
-        lindblad._run_coherence_eigenvalue.cache_clear()
+        return calls
 
     def test_zero_pump_is_exactly_zero(self, builds):
         orc = qubit_shift_dephasing(self.params(0.0), Q_OP, self.CFG)
         assert orc.d_omega_q == 0.0
         assert orc.d_gamma_phi == 0.0
-        assert len(builds) == 1
+        assert builds == [(0.0, 4)]
 
-    def test_sweep_builds_pump_off_reference_once(self, builds):
+    def test_sweep_builds_small_reference_per_call(self, builds):
         for lam in (0.0, 4.0, 8.0):
             qubit_shift_dephasing(self.params(lam), Q_OP, self.CFG)
-        assert len(builds) == 3
-        assert [p.lam for p in builds] == [0.0, 4.0, 8.0]
+        assert builds == [(0.0, 4), (0.0, 4), (4.0, 10), (0.0, 4), (8.0, 10)]
 
-    def test_lam_dependent_truncation_shares_only_the_zero_point(self,
-                                                                 builds):
-        # with n_fock = default_n_fock(p) every lam > 0 has its own config,
-        # so it runs its own pump-off reference
-        n_focks = set()
-        for lam in (0.0, 1.0, 2.0):
-            p = self.params(lam)
-            n_focks.add(default_n_fock(p))
-            qubit_shift_dephasing(
-                p, Q_OP, LindbladConfig(n_fock=default_n_fock(p),
-                                        n_transmon=3))
-        assert len(n_focks) == 3
-        assert [p.lam for p in builds] == [0.0, 0.0, 1.0, 0.0, 2.0]
+    @settings(max_examples=20, deadline=None)
+    @given(undriven_systems(levels=(2, 3)), st.integers(4, 16))
+    def test_reference_matches_pump_off_at_any_truncation(self, system,
+                                                          n_fock):
+        p, q, cfg = system
+        p_off = OscillatorParams(freq_a=0.0, kappa=p.kappa,
+                                 delta_a=p.delta_a, lam=0.0)
 
-    def test_different_inputs_miss_the_cache(self, builds):
-        qubit_shift_dephasing(self.params(4.0), Q_OP, self.CFG)
-        assert len(builds) == 2
-        q2 = TransmonParams(delta_q=-80.0, g=4.0, chi_q=-114.0, gamma_1=5.0,
-                            gamma_phi=2.2, n_levels=3)
-        qubit_shift_dephasing(self.params(4.0), q2, self.CFG)
-        assert len(builds) == 4
-        qubit_shift_dephasing(self.params(4.0), Q_OP,
-                              LindbladConfig(n_fock=12, n_transmon=3))
-        assert len(builds) == 6
-        qubit_shift_dephasing(self.params(4.0, delta_a=25.0), Q_OP, self.CFG)
-        assert len(builds) == 8
+        def eig_off(run):
+            try:
+                return run()
+            except lindblad.AmbiguousSector:
+                return None
+
+        ref = eig_off(lambda: qubit_shift_dephasing(p_off, q, cfg).eig_off)
+        drawn = eig_off(lambda: lindblad._oracle_eigenvalue(
+            p_off, q, LindbladConfig(n_fock=n_fock,
+                                     n_transmon=cfg.n_transmon)))
+        assert (ref is None) == (drawn is None)
+        if ref is not None:
+            assert abs(ref - drawn) <= 1e-12 * abs(drawn)
+
+    def _block_input(self, lam, n_fock):
+        p = self.params(lam)
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=n_fock,
+                                                             n_transmon=3))
+        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        return liou, rho, _sigma_guess(p, Q_OP)
+
+    def test_pump_off_eigenvalue_is_bitwise_reproducible(self):
+        liou, rho, sigma = self._block_input(0.0, 4)
+        vals = {lindblad._coherence_eigenvalue(liou, rho, sigma)
+                for _ in range(12)}
+        assert len(vals) == 1
+
+    @pytest.mark.parametrize("lam,n_fock,dense", [(0.0, 4, True),
+                                                   (6.0, 8, False)])
+    def test_dense_and_arpack_paths_agree(self, monkeypatch, lam, n_fock,
+                                          dense):
+        liou, rho, sigma = self._block_input(lam, n_fock)
+        n_odd = len(lindblad._parity_sector(liou, 1))
+        assert (n_odd <= lindblad._DENSE_MAX) == dense
+        default = lindblad._coherence_eigenvalue(liou, rho, sigma)
+        # the other path: every block dense, or none
+        monkeypatch.setattr(lindblad, "_DENSE_MAX", 0 if dense else n_odd)
+        other = lindblad._coherence_eigenvalue(liou, rho, sigma)
+        assert abs(default - other) <= 1e-10 * abs(default)
 
 
 def _dense_moments(rho, a_full, thetas):
