@@ -10,9 +10,17 @@ Fock-space Lindblad solver provides a brute-force check of the closed forms.
 Run:  python3 demos/qubit_shift_under_squeezing.py
 """
 
-import numpy as np
+import os
 
-from boqsim import (
+# One BLAS/OpenMP thread unless the caller chose otherwise, set before numpy
+# loads: these matrices are small, and a spinning OpenBLAS pool slows
+# several-fold when another process holds a core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from boqsim import (  # noqa: E402
     LindbladConfig,
     OscillatorParams,
     TransmonParams,
@@ -24,7 +32,7 @@ from boqsim import (
     qubit_shift_dephasing,
     shift_undriven,
 )
-from boqsim.core import BogoliubovFrame
+from boqsim.core import BogoliubovFrame  # noqa: E402
 
 KAPPA = 8.7
 Q = TransmonParams(delta_q=-80.0, g=4.9, chi_q=-114.0, gamma_1=5.0,

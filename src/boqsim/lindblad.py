@@ -39,6 +39,10 @@ The pump-off reference runs at n_fock = 4 and is exact there: at lam = 0 with
 no drive, H conserves the total excitation number and every jump keeps or
 lowers it, so the coherences between the zero- and the one-excitation states
 (|g0><e0|, |g0><g1|) form a closed block that any n_fock >= 2 holds in full.
+
+Eigensolve target: the pick overlaps most with (|g><g| x rho_osc) sigma_minus,
+rho_osc the oscillator steady state.  The target only selects the mode, and the
+joint state (qubit in |g> up to O((g/Delta)^2)) selects the same one.
 """
 
 from __future__ import annotations
@@ -265,7 +269,6 @@ class SteadyStateResult:
     min_eigenvalue: float
     truncation_converged: bool
     n_fock: int
-    rho: np.ndarray | None = None
     cfg: LindbladConfig | None = None
 
     def bogoliubov_occupation(self, r: float) -> float:
@@ -351,8 +354,7 @@ def _moments(rho: np.ndarray, a_full: np.ndarray,
 
 
 def steady_state(liou: LiouvillianMatrix, thetas=None,
-                 check_convergence: bool = True,
-                 keep_rho: bool = False) -> SteadyStateResult:
+                 check_convergence: bool = True) -> SteadyStateResult:
     """Solve L rho = 0 with the unit-trace constraint and report moments.
 
     When check_convergence is set the solve is repeated at twice the Fock
@@ -386,21 +388,17 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
     return SteadyStateResult(
         n_mean=n_mean, a_sq=a_sq, thetas=thetas, var_x=var_x, var_p=var_p,
         trace_residual=trace_residual, min_eigenvalue=min_eig,
-        truncation_converged=converged, n_fock=liou.n_fock,
-        rho=rho if keep_rho else None, cfg=liou.cfg)
+        truncation_converged=converged, n_fock=liou.n_fock, cfg=liou.cfg)
 
 
-def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_ss: np.ndarray,
+def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
                           sigma_guess: complex) -> complex:
-    """Liouvillian eigenvalue whose mode has maximal overlap with
-    rho_ss @ sigma_minus, i.e. the |g><e| qubit-coherence sector: with the
-    qubit near |g>, |g><g| . |g><e| = |g><e| tensored with the oscillator
-    steady profile."""
+    """Eigenvalue of the |g><e| qubit-coherence mode: the candidate that
+    overlaps rho_target @ sigma_minus most (see the module docstring)."""
     if liou.sigma_minus_full is None:
         raise ValueError("no qubit in this Liouvillian")
-    target = (rho_ss @ liou.sigma_minus_full).reshape(-1, order="F")
-    # even rho_ss times odd sigma_minus is odd: the target lies in the odd
-    # sector, so restricting it to that sector drops only exact zeros
+    target = (rho_target @ liou.sigma_minus_full).reshape(-1, order="F")
+    # even rho_target x odd sigma_minus: the odd sector drops only zeros
     sec = _parity_sector(liou, 1)
     target = target[sec] / np.linalg.norm(target)
     block = liou.matrix[sec][:, sec]
@@ -474,9 +472,11 @@ def _oracle_eigenvalue(p: OscillatorParams, q: TransmonParams,
                        cfg: LindbladConfig) -> complex:
     """Coherence eigenvalue of one undriven oracle run."""
     liou = build_liouvillian(p, q, None, cfg)
-    res = steady_state(liou, check_convergence=False, keep_rho=True)
+    osc = build_liouvillian(p, None, None, LindbladConfig(n_fock=cfg.n_fock))
+    ground = np.diag(np.eye(liou.n_transmon)[0])  # |g><g|
     sigma_guess = 1j * q.delta_q - 0.5 * q.gamma_t - 0.25 * p.kappa
-    return _coherence_eigenvalue(liou, res.rho, sigma_guess)
+    return _coherence_eigenvalue(
+        liou, np.kron(ground, _solve_steady_rho(osc)), sigma_guess)
 
 
 def _squeezed_fock_states(r_signed: float, n_fock: int,

@@ -1,6 +1,7 @@
 """Truncated-Fock Lindblad solver: steady moments, coherence-sector
 eigenvalues, and exact-diagonalization dispersive strengths."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -160,6 +161,18 @@ class TestChiExact:
         analytic = chi_qubit(q, frame_of(p)).chi
         assert exact == pytest.approx(analytic, rel=0.05)
 
+    def test_error_is_second_order_in_g(self):
+        # the dispersive expansion is second order in g (Blais et al.,
+        # RMP 93, 025005 (2021)): halving g quarters the error
+        cfg = LindbladConfig(n_fock=default_n_fock(P_OP), n_transmon=3)
+        errors = []
+        for g in (4.9, 2.45, 1.225, 0.6125):
+            q = dataclasses.replace(Q_OP, g=g)
+            analytic = chi_transmon(q, frame_of(P_OP), kappa=8.7).chi
+            errors.append(abs(chi_exact(P_OP, q, cfg) / analytic - 1.0))
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+        assert min(orders) >= 1.8, (errors, orders)
+
     def test_requires_detuned_regime(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=1.0)
         with pytest.raises(ValueError, match="detuned"):
@@ -240,6 +253,14 @@ def systems(draw, levels=(1, 2, 3)):
     return p, q, drive, cfg
 
 
+def _unless_ambiguous(run):
+    """run(), or None when it raises AmbiguousSector."""
+    try:
+        return run()
+    except lindblad.AmbiguousSector:
+        return None
+
+
 def _target_eigenvalue(vals, vecs, target):
     """The eigenvalue whose mode overlaps the target most."""
     overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
@@ -261,7 +282,7 @@ class TestParitySectors:
     @given(undriven_systems())
     def test_sector_steady_state_matches_full_space(self, system):
         liou = build_liouvillian(*system[:2], cfg=system[2])
-        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        rho = lindblad._solve_steady_rho(liou)
         assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
@@ -275,7 +296,7 @@ class TestParitySectors:
     def test_sector_coherence_eigenvalue_matches_full_space(self, system):
         p, q, cfg = system
         liou = build_liouvillian(p, q, cfg=cfg)
-        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        rho = lindblad._solve_steady_rho(liou)
         sector = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
         target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")
         vals, vecs = spla.eigs(liou.matrix, k=10, sigma=_sigma_guess(p, q),
@@ -292,7 +313,7 @@ class TestParitySectors:
         for parity in (0, 1):
             assert np.array_equal(lindblad._parity_sector(liou, parity),
                                   every)
-        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        rho = lindblad._solve_steady_rho(liou)
         assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
 
 
@@ -307,12 +328,12 @@ class TestPumpOffReference:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """(lam, n_fock) of every Liouvillian built."""
+        """(lam, n_fock, n_transmon) of every Liouvillian built."""
         calls = []
         real = lindblad.build_liouvillian
 
         def counting(p, q=None, drive=None, cfg=None):
-            calls.append((p.lam, cfg.n_fock))
+            calls.append((p.lam, cfg.n_fock, cfg.n_transmon))
             return real(p, q, drive, cfg)
 
         monkeypatch.setattr(lindblad, "build_liouvillian", counting)
@@ -322,12 +343,15 @@ class TestPumpOffReference:
         orc = qubit_shift_dephasing(self.params(0.0), Q_OP, self.CFG)
         assert orc.d_omega_q == 0.0
         assert orc.d_gamma_phi == 0.0
-        assert builds == [(0.0, 4)]
+        assert builds == [(0.0, 4, 3), (0.0, 4, 1)]
 
     def test_sweep_builds_small_reference_per_call(self, builds):
         for lam in (0.0, 4.0, 8.0):
             qubit_shift_dephasing(self.params(lam), Q_OP, self.CFG)
-        assert builds == [(0.0, 4), (0.0, 4), (4.0, 10), (0.0, 4), (8.0, 10)]
+        # each joint build comes with the oscillator-only one of its target
+        assert builds == [(0.0, 4, 3), (0.0, 4, 1),
+                          (0.0, 4, 3), (0.0, 4, 1), (4.0, 10, 3), (4.0, 10, 1),
+                          (0.0, 4, 3), (0.0, 4, 1), (8.0, 10, 3), (8.0, 10, 1)]
 
     @settings(max_examples=20, deadline=None)
     @given(undriven_systems(levels=(2, 3)), st.integers(4, 16))
@@ -336,15 +360,9 @@ class TestPumpOffReference:
         p, q, cfg = system
         p_off = OscillatorParams(freq_a=0.0, kappa=p.kappa,
                                  delta_a=p.delta_a, lam=0.0)
-
-        def eig_off(run):
-            try:
-                return run()
-            except lindblad.AmbiguousSector:
-                return None
-
-        ref = eig_off(lambda: qubit_shift_dephasing(p_off, q, cfg).eig_off)
-        drawn = eig_off(lambda: lindblad._oracle_eigenvalue(
+        ref = _unless_ambiguous(
+            lambda: qubit_shift_dephasing(p_off, q, cfg).eig_off)
+        drawn = _unless_ambiguous(lambda: lindblad._oracle_eigenvalue(
             p_off, q, LindbladConfig(n_fock=n_fock,
                                      n_transmon=cfg.n_transmon)))
         assert (ref is None) == (drawn is None)
@@ -355,7 +373,7 @@ class TestPumpOffReference:
         p = self.params(lam)
         liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=n_fock,
                                                              n_transmon=3))
-        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        rho = lindblad._solve_steady_rho(liou)
         return liou, rho, _sigma_guess(p, Q_OP)
 
     def test_pump_off_eigenvalue_is_bitwise_reproducible(self):
@@ -376,6 +394,43 @@ class TestPumpOffReference:
         monkeypatch.setattr(lindblad, "_DENSE_MAX", 0 if dense else n_odd)
         other = lindblad._coherence_eigenvalue(liou, rho, sigma)
         assert abs(default - other) <= 1e-10 * abs(default)
+
+
+class TestOscillatorTarget:
+    """The oracle's eigensolve target, |g><g| tensored with the
+    oscillator-only steady state, picks the eigenvalue the joint steady
+    state picks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(undriven_systems(levels=(2, 3)))
+    # qubit resonant with the oscillator: two modes overlap either target
+    # comparably, and both picks raise AmbiguousSector
+    @example((OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0),
+              TransmonParams(delta_q=20.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
+                             gamma_phi=2.2, n_levels=3),
+              LindbladConfig(n_fock=10, n_transmon=3)))
+    def test_picks_the_joint_steady_state_eigenvalue(self, system):
+        p, q, cfg = system
+        liou = build_liouvillian(p, q, cfg=cfg)
+        joint = _unless_ambiguous(lambda: lindblad._coherence_eigenvalue(
+            liou, lindblad._solve_steady_rho(liou), _sigma_guess(p, q)))
+        oracle = _unless_ambiguous(
+            lambda: lindblad._oracle_eigenvalue(p, q, cfg))
+        assert (joint is None) == (oracle is None)
+        if joint is not None:
+            assert abs(oracle - joint) <= 1e-10 * abs(joint)
+
+    def test_picks_the_joint_eigenvalue_at_oracle_shift_point(self):
+        # the benchmark's qubit_response --oracle point at its top pump
+        # amplitude, n_fock = 32: the strongest squeezing the oracle runs at
+        # this scale, where the two targets' overlaps differ most
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
+        cfg = LindbladConfig(n_fock=32, n_transmon=3)
+        liou = build_liouvillian(p, Q_OP, cfg=cfg)
+        joint = lindblad._coherence_eigenvalue(
+            liou, lindblad._solve_steady_rho(liou), _sigma_guess(p, Q_OP))
+        oracle = lindblad._oracle_eigenvalue(p, Q_OP, cfg)
+        assert abs(oracle - joint) <= 1e-10 * abs(joint)
 
 
 def _dense_moments(rho, a_full, thetas):
@@ -411,7 +466,7 @@ class TestFactorizedSolve:
     def test_eigenvalue_matches_default_eigs(self, system):
         p, q, drive, cfg = system
         liou = build_liouvillian(p, q, drive, cfg)
-        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        rho = lindblad._solve_steady_rho(liou)
         got = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
         sec = lindblad._parity_sector(liou, 1)
         block = liou.matrix[sec][:, sec]
@@ -439,7 +494,7 @@ class TestFactorizedSolve:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
         liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=8,
                                                              n_transmon=3))
-        rho = steady_state(liou, check_convergence=False, keep_rho=True).rho
+        rho = lindblad._solve_steady_rho(liou)
         real = spla.eigs
 
         def shifted(*args, **kwargs):
