@@ -70,7 +70,7 @@ def main() -> None:
     print(f"  chi[r] exact diag.  = {1e3 * chi_exact(p, Q, cfg):8.1f} kHz")
     print(f"  pump-induced shift (closed form) = "
           f"{1e3 * ana.d_omega_q:8.1f} kHz")
-    print("  solving the joint Liouvillian (takes ~3 s)...")
+    print("  solving the joint Liouvillian (takes ~2 s)...")
     orc = qubit_shift_dephasing(p, Q, cfg)
     print(f"  pump-induced shift (oracle)      = "
           f"{1e3 * orc.d_omega_q:8.1f} kHz")

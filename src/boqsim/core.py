@@ -198,17 +198,6 @@ def frame_of(params: OscillatorParams) -> BogoliubovFrame:
 # ---------------------------------------------------------------------------
 # serialization: flat "name = value" text and JSON, keys match field names
 
-_PARAM_TYPES = {
-    "oscillator": OscillatorParams,
-    "transmon": TransmonParams,
-    "drive": DriveSpec,
-}
-
-
-def params_to_dict(params) -> dict:
-    return asdict(params)
-
-
 def params_from_dict(cls, data: dict):
     names = {f.name for f in fields(cls)}
     unknown = set(data) - names
