@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+import scipy
 
 from .core import OscillatorParams, lambda_critical
 from .scattering import ComplexSpectrum, gamma_signal
@@ -135,9 +135,9 @@ def fit_lambda(spectrum: ComplexSpectrum, kappa: float,
         return np.concatenate([diff.real, diff.imag])
 
     x0 = np.array([_lambda_initial_guess(spectrum, kappa, delta_a)])
-    res = least_squares(resid, x0, bounds=([0.0], [0.999999 * l_crit]),
-                        xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
-                        max_nfev=MAX_ITER * 4)
+    res = scipy.optimize.least_squares(
+        resid, x0, bounds=([0.0], [0.999999 * l_crit]), xtol=1e-14,
+        ftol=1e-14, gtol=GRAD_TOL, max_nfev=MAX_ITER * 4)
     report = _report(res, ["lam"], 2 * len(freqs))
     flags = ()
     if res.x[0] > 0.99 * l_crit:
@@ -198,9 +198,9 @@ def fit_circle(spectrum: ComplexSpectrum
         return angles - (phi0 + 2.0 * np.arctan(2.0 * (freqs - nu_q)
                                                 / gamma_t))
 
-    pre = least_squares(phase_resid, [nu_q0, max(gamma_t0, 1e-6), 0.0],
-                        bounds=([-np.inf, 1e-9, -np.inf],
-                                [np.inf, np.inf, np.inf]))
+    pre = scipy.optimize.least_squares(
+        phase_resid, [nu_q0, max(gamma_t0, 1e-6), 0.0],
+        bounds=([-np.inf, 1e-9, -np.inf], [np.inf, np.inf, np.inf]))
     nu_q0, gamma_t0 = float(pre.x[0]), float(pre.x[1])
     # translate the circle geometry into model parameters:
     # center = offset + amp e^{i tilt}/gamma_t, radius = amp/gamma_t
@@ -213,13 +213,11 @@ def fit_circle(spectrum: ComplexSpectrum
         return np.concatenate([diff.real, diff.imag])
 
     x0 = [offset0.real, offset0.imag, amp0, tilt0, nu_q0, gamma_t0]
-    res = least_squares(resid, x0,
-                        bounds=([-np.inf, -np.inf, 0.0, -2 * math.pi,
-                                 -np.inf, 1e-9],
-                                [np.inf, np.inf, np.inf, 2 * math.pi,
-                                 np.inf, np.inf]),
-                        xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
-                        max_nfev=MAX_ITER * 10)
+    res = scipy.optimize.least_squares(
+        resid, x0,
+        bounds=([-np.inf, -np.inf, 0.0, -2 * math.pi, -np.inf, 1e-9],
+                [np.inf, np.inf, np.inf, 2 * math.pi, np.inf, np.inf]),
+        xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL, max_nfev=MAX_ITER * 10)
     names = ["re_offset", "im_offset", "amp", "tilt", "nu_q", "gamma_t"]
     report = _report(res, names, 2 * len(freqs))
     re_c, im_c, amp, tilt, nu_q, gamma_t = res.x
@@ -274,8 +272,8 @@ def fit_chi_n0(datasets, kappa: float) -> FitReport:
         chi0.append(float(np.mean(dw[mask] / (powers[mask] / p_scale)))
                     if mask.any() else -0.1)
     x0 = np.array(chi0 + [p_scale])
-    res = least_squares(resid, x0, xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
-                        max_nfev=MAX_ITER * 10)
+    res = scipy.optimize.least_squares(resid, x0, xtol=1e-14, ftol=1e-14,
+                                       gtol=GRAD_TOL, max_nfev=MAX_ITER * 10)
     n_data = sum(len(p) * (1 if g is None else 2) for p, _, g in datasets)
     names = [f"chi_{i}" for i in range(n_chi)] + ["p0"]
     return _report(res, names, n_data)
@@ -307,8 +305,9 @@ def fit_straddling(deltas, chis) -> FitReport:
     for chi_q0 in (-30.0, -100.0, -300.0, 30.0):
         while np.any(np.abs(deltas + chi_q0) < 1e-6 * abs(chi_q0)):
             chi_q0 *= 1.03  # nudge the start off a pole of the model
-        trial = least_squares(resid, [g0, chi_q0], xtol=1e-14, ftol=1e-14,
-                              gtol=GRAD_TOL, max_nfev=MAX_ITER * 10)
+        trial = scipy.optimize.least_squares(
+            resid, [g0, chi_q0], xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
+            max_nfev=MAX_ITER * 10)
         if trial.cost < best_cost:
             res, best_cost = trial, trial.cost
     if res is None:
@@ -347,8 +346,9 @@ def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
 
     mask = nd_eff > 0
     chi0 = float(np.mean(d_omega[mask] / nd_eff[mask])) if mask.any() else -0.1
-    res = least_squares(resid, [chi0 or -0.1], xtol=1e-14, ftol=1e-14,
-                        gtol=GRAD_TOL, max_nfev=MAX_ITER * 4)
+    res = scipy.optimize.least_squares(
+        resid, [chi0 or -0.1], xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
+        max_nfev=MAX_ITER * 4)
     report = _report(res, ["chi"], 2 * len(n_d))
     flags = ()
     if mask.any():

@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.sparse.linalg import ArpackError
 
 from . import calibration, dispersive, lindblad, scattering, spectral
@@ -221,8 +222,6 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
 def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
                     g_target: float, grid: np.ndarray) -> float:
     """Pump amplitude whose refined peak gain equals g_target (monotone)."""
-    from scipy.optimize import brentq
-
     def excess(lam):
         p = _oscillator(cfg, delta_a, lam)
         return scattering.peak_gain(p, grid)[1] - g_target
@@ -231,7 +230,7 @@ def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
     if excess(l_hi) < 0:
         raise ValueError(f"target gain {g_target:.3g} unreachable below "
                          "the instability threshold")
-    return float(brentq(excess, 1e-6, l_hi, xtol=1e-10))
+    return float(scipy.optimize.brentq(excess, 1e-6, l_hi, xtol=1e-10))
 
 
 def cmd_gbw(cfg: dict, out: Path, args) -> None:

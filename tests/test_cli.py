@@ -3,13 +3,16 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from boqsim import cli, lindblad
+from boqsim import cli, lindblad, scattering
 from boqsim.cli import main
 from boqsim.core import parse_flat
 
@@ -84,6 +87,22 @@ class TestGbw:
         for r in read_csv(out / "gbw.csv"):
             assert abs(float(r["peak_freq"])) < 1e-4
             assert r["merged"] == "0"
+
+    def test_default_run_refines_at_most_two_candidates_per_search(
+            self, tmp_path):
+        # the gain has at most two true maxima; refining round-off wiggles
+        # of the near-unit gain at brentq's lam = 1e-6 end once cost 6031
+        # refinements over the default run's 118 searches
+        def spy(name):
+            return mock.patch.object(scattering, name,
+                                     wraps=getattr(scattering, name))
+
+        with spy("_refine_peak") as refine, spy("peak_gain") as peak, \
+                spy("gain_summary") as summary:
+            code, _ = run(tmp_path, "gbw")
+        assert code == 0
+        searches = peak.call_count + summary.call_count
+        assert 0 < refine.call_count <= 2 * searches
 
 
 class TestQubitResponse:
@@ -227,6 +246,17 @@ class TestContracts:
                      str(cfg)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is most of the import cost; it loads on first use
+        src = str(Path(cli.__file__).parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import boqsim, boqsim.cli; "
+                 "print('scipy.optimize' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe, src],
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.strip() == "False"
 
 
 FAST_CONFIGS = {

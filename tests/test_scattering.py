@@ -12,12 +12,14 @@ Gamma_a = kappa [A^-1]_00 - 1 and Gamma_i = kappa [A^-1]_01.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from boqsim import scattering
 from boqsim import (
     ComplexSpectrum,
     GridTooCoarseError,
@@ -30,6 +32,7 @@ from boqsim import (
     gamma_qubit,
     gamma_signal,
     gmax_resonant,
+    lambda_critical,
     lambda_for_gain,
     peak_gain,
     signal_spectrum,
@@ -136,6 +139,106 @@ class TestGainSummary:
         summ = gain_summary(P_DETUNED, grid)
         assert gain == pytest.approx(summ.g_max, rel=1e-12)
         assert freq == pytest.approx(summ.peak_freq, abs=1e-9)
+
+
+def loop_local_maxima(gains: np.ndarray) -> list[int]:
+    """Reference for scattering._local_maxima: the scalar loop it replaced."""
+    return [i for i in range(1, len(gains) - 1)
+            if gains[i] >= gains[i - 1] and gains[i] >= gains[i + 1]
+            and (gains[i] > gains[i - 1] or gains[i] > gains[i + 1])]
+
+
+def power_gain_candidates():
+    """Context in which peak_gain/gain_summary take their candidate maxima
+    from the power gain itself, as before the cancellation-free
+    amplification was introduced."""
+    return mock.patch.multiple(scattering,
+                               _amplification=scattering._power_gain,
+                               _local_maxima=loop_local_maxima)
+
+
+def summary_or_error(p, grid):
+    try:
+        return scattering.gain_summary(p, grid)
+    except GridTooCoarseError as exc:
+        return type(exc)
+
+
+class TestPeakCandidates:
+    """Candidate peaks come from |Gamma_a|^2 - 1 = kappa^2 lam^2 /
+    ((C - w^2)^2 + kappa^2 w^2), which has at most two maxima."""
+
+    GRID = np.linspace(-70.0, 70.0, 2001)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    def test_vectorized_maxima_match_loop(self, values):
+        gains = np.array(values, dtype=float)
+        assert scattering._local_maxima(gains) == loop_local_maxima(gains)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-4])
+    @pytest.mark.parametrize("delta_a, n_peaks", [(0.0, 1), (30.0, 2)])
+    def test_weak_pump_reports_physical_peak_count(self, lam, delta_a,
+                                                   n_peaks):
+        # round-off wiggles of the near-unit power gain once counted as
+        # 90-667 peaks here
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=delta_a, lam=lam)
+        assert gain_summary(p, self.GRID).n_peaks == n_peaks
+
+    def test_unpumped_gain_has_no_peak(self):
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=0.0)
+        with pytest.raises(GridTooCoarseError):
+            gain_summary(p, self.GRID)
+
+    def test_weak_pump_peak_sits_at_sideband(self):
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=1e-6)
+        c = p.kappa ** 2 / 4.0 + p.delta_a ** 2 - p.lam ** 2
+        w_pk = math.sqrt(c - p.kappa ** 2 / 2.0)
+        freq, _ = peak_gain(p, self.GRID)
+        assert abs(abs(freq) - w_pk) <= self.GRID[1] - self.GRID[0]
+
+    def test_amplification_matches_langevin_idler(self):
+        for p in (P_DETUNED, P_RESONANT):
+            w = np.linspace(-80.0, 80.0, 41)
+            expect = [abs(langevin_oracle(p, x)[1]) ** 2 for x in w]
+            assert scattering._amplification(p, w) == pytest.approx(
+                expect, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kappa=st.floats(0.5, 20.0), delta_a=st.floats(-60.0, 60.0),
+           ratio=st.floats(1e-4, 0.999), n=st.integers(201, 3000),
+           reach=st.floats(0.3, 3.0), shift=st.floats(-0.5, 0.5))
+    @example(kappa=8.7, delta_a=30.0, ratio=0.8, n=2001, reach=1.0,
+             shift=0.0)
+    @example(kappa=8.7, delta_a=0.0, ratio=0.5, n=2001, reach=1.0,
+             shift=0.0)
+    def test_refined_values_match_power_gain_candidates(
+            self, kappa, delta_a, ratio, n, reach, shift):
+        lam = ratio * lambda_critical(kappa, delta_a)
+        p = OscillatorParams(freq_a=0.0, kappa=kappa, delta_a=delta_a,
+                             lam=lam)
+        c = kappa ** 2 / 4.0 + delta_a ** 2 - lam ** 2
+        x_pk = max(0.0, c - kappa ** 2 / 2.0)
+        assume(scattering._amplification(p, math.sqrt(x_pk)) >= 1e-6)
+        span = reach * max(3.0 * kappa, 2.0 * abs(delta_a) + 3.0 * kappa)
+        grid = np.linspace(-span, span, n) + shift * span
+
+        new = summary_or_error(p, grid)
+        new_peak = peak_gain(p, grid)
+        with power_gain_candidates():
+            ref = summary_or_error(p, grid)
+            ref_peak = peak_gain(p, grid)
+
+        assert new_peak[1] == pytest.approx(ref_peak[1], rel=1e-14)
+        if isinstance(ref, type):
+            assert new is ref
+            return
+        assert not isinstance(new, type)
+        assert new.n_peaks == ref.n_peaks
+        assert new.g_max == pytest.approx(ref.g_max, rel=1e-14)
+        assert new.bw_3db == pytest.approx(ref.bw_3db, rel=1e-13)
+        assert (new.peak_freq == ref.peak_freq
+                or max(abs(new.peak_freq), abs(ref.peak_freq)) <= 1e-5)
 
 
 class TestClosedFormGain:
