@@ -65,7 +65,7 @@ def main() -> None:
         delta_q_2_r=chi_r.delta_q_2, delta_q_2_0=chi_0.delta_q_2,
         chi_anomalous=chi_r.chi_anomalous,
         anomalous=anomalous_moment(p, frame))
-    cfg = LindbladConfig(n_fock=default_n_fock(p), n_transmon=3)
+    cfg = LindbladConfig(n_fock=default_n_fock(p))
     print(f"  chi[r] closed form  = {1e3 * chi_r.chi:8.1f} kHz")
     print(f"  chi[r] exact diag.  = {1e3 * chi_exact(p, Q, cfg):8.1f} kHz")
     print(f"  pump-induced shift (closed form) = "

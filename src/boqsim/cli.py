@@ -56,7 +56,7 @@ _OSCILLATOR = {"kappa": (float, 8.7), "freq_a": (float, 6940.0)}
 _QUBIT = {**_OSCILLATOR, "delta_q": (float, None),
           "delta_q_offset": (float, -100.0), "g": (float, 4.9),
           "chi_q": (float, -114.0), "gamma_1": (float, 5.0),
-          "gamma_phi": (float, 2.2), "n_levels": (_int, 3),
+          "gamma_phi": (float, 2.2),
           "n_fock": (_int, None)}  # None: lindblad.default_n_fock per point
 
 # the config keys each command reads: name -> (type, default); a None
@@ -145,13 +145,15 @@ def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
 
 
 def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
+    """Three levels: the closed forms (chi_transmon) and the oracle both
+    keep the straddling term of the second excited level."""
     delta_q = cfg["delta_q"]
     delta_q = delta_a + cfg["delta_q_offset"] if delta_q is None else delta_q
     try:
         return TransmonParams(delta_q=delta_q, g=cfg["g"], chi_q=cfg["chi_q"],
                               gamma_1=cfg["gamma_1"],
                               gamma_phi=cfg["gamma_phi"],
-                              n_levels=cfg["n_levels"])
+                              n_levels=3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -161,7 +163,7 @@ def _lindblad_config(cfg: dict, p: OscillatorParams):
     if n_fock is None:
         n_fock = lindblad.default_n_fock(p)
     try:
-        return lindblad.LindbladConfig(n_fock=n_fock, n_transmon=3)
+        return lindblad.LindbladConfig(n_fock=n_fock)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -48,13 +48,16 @@ lowers it, so the coherences between the zero- and the one-excitation states
 Eigensolve target: the pick overlaps most with (|g><g| x rho_osc) sigma_minus,
 rho_osc the oscillator steady state.  The target only selects the mode, and the
 joint state (qubit in |g> up to O((g/Delta)^2)) selects the same one.
+
+Levels: the joint space keeps TransmonParams.n_levels transmon levels (one
+level, the oscillator alone, when no transmon is given); the unknowns budget
+is the only bound on them.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,8 +77,9 @@ _ARPACK_TOL = 1e-8
 # eigenvalues nearest sigma among which the coherence mode is picked
 _N_CANDIDATES = 10
 # largest coherence block diagonalized densely (np.linalg.eig), in unknowns:
-# covers the n_fock = 4 pump-off reference (72 with three levels) and stays
-# far below a three-level block at n_fock = 12 (648) or 16 (1152)
+# covers the n_fock = 4 pump-off reference (72 with three levels, 128 with
+# four; five or more take the ARPACK path) and stays far below a three-level
+# block at n_fock = 12 (648) or 16 (1152)
 _DENSE_MAX = 128
 # the 2x truncation check passes when no moment moves by this much (relative)
 _CONVERGENCE_FACTOR = 1e-6
@@ -84,7 +88,7 @@ _CONVERGENCE_FACTOR = 1e-6
 # the benchmark's operating points)
 _EIG_RESIDUAL = 1e-13
 # largest Liouvillian build_liouvillian accepts, in unknowns (n_fock *
-# n_transmon)^2.  A steady state at the budget takes ~0.8 GB and ~5 s
+# n_levels)^2.  A steady state at the budget takes ~0.8 GB and ~5 s
 # (resonant, n_fock = 724); default_n_fock at lam = 0.99 kappa/2 would ask
 # for 2.1M unknowns, whose LU fill would exhaust a machine's memory
 _MAX_UNKNOWNS = 2 ** 19
@@ -104,16 +108,14 @@ class AmbiguousSector(RuntimeError):
 
 @dataclass(frozen=True)
 class LindbladConfig:
-    """Truncation of the oracle's product space."""
+    """Fock truncation of the oracle's product space; the transmon keeps
+    TransmonParams.n_levels levels."""
 
     n_fock: int = 16
-    n_transmon: int = 1  # 1 (oscillator only), 2 or 3 transmon levels
 
     def __post_init__(self):
         if self.n_fock < 4:
             raise ValueError("n_fock must be >= 4")
-        if self.n_transmon not in (1, 2, 3):
-            raise ValueError("n_transmon must be 1, 2 or 3")
 
 
 def estimate_occupation(p: OscillatorParams, drive: DriveSpec | None) -> float:
@@ -171,7 +173,6 @@ class LiouvillianMatrix:
     params: OscillatorParams
     transmon: TransmonParams | None
     drive: DriveSpec | None
-    cfg: LindbladConfig
 
     @property
     def dim(self) -> int:
@@ -179,7 +180,7 @@ class LiouvillianMatrix:
 
 
 def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
-                 drive: DriveSpec | None, n_fock: int, n_transmon: int
+                 drive: DriveSpec | None, n_fock: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Joint Hamiltonian in the bare basis; returns (H, a_full, b_low_full)."""
     a = destroy(n_fock)
@@ -194,11 +195,11 @@ def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
         eps = p.kappa * math.sqrt(drive.n_d) * np.exp(
             1j * (drive.theta - math.pi / 4.0))
         h_osc = h_osc + 0.5 * eps * a + 0.5 * np.conj(eps) * a.conj().T
-    if q is None or n_transmon == 1:
+    if q is None:
         return h_osc, a, None
-    ident_t = np.eye(n_transmon)
-    h_t = np.diag(transmon_level_detunings(q, n_transmon))
-    b = destroy(n_transmon)  # lowering with sqrt(k+1) matrix elements
+    ident_t = np.eye(q.n_levels)
+    h_t = np.diag(transmon_level_detunings(q, q.n_levels))
+    b = destroy(q.n_levels)  # lowering with sqrt(k+1) matrix elements
     h = (np.kron(ident_t, h_osc) + np.kron(h_t, ident_f)
          + q.g * (np.kron(b.conj().T, a) + np.kron(b, a.conj().T)))
     return h, np.kron(ident_t, a), np.kron(b, ident_f)
@@ -224,9 +225,8 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
     diagonal level-number operator beyond two levels).
     """
     if cfg is None:
-        cfg = LindbladConfig(n_fock=default_n_fock(p, drive),
-                             n_transmon=1 if q is None else min(q.n_levels, 3))
-    n_transmon = cfg.n_transmon if q is not None else 1
+        cfg = LindbladConfig(n_fock=default_n_fock(p, drive))
+    n_transmon = 1 if q is None else q.n_levels
     occ = estimate_occupation(p, drive)
     if not math.isfinite(occ):
         rep = validate(p)
@@ -243,15 +243,13 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
             f"n_fock = {cfg.n_fock} with {n_transmon} transmon level(s) "
             f"gives {unknowns} unknowns, over the oracle's budget of "
             f"{_MAX_UNKNOWNS}")
-    h, a_full, b_low = _hamiltonian(p, q, drive, cfg.n_fock, n_transmon)
+    h, a_full, b_low = _hamiltonian(p, q, drive, cfg.n_fock)
     dim = h.shape[0]
     ident = sp.identity(dim, format="csc")
     h_s = sp.csc_matrix(h)
     liou = (-1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))).tocsc()
     liou = liou + p.kappa * _dissipator(a_full)
-    sigma_minus = None
-    if q is not None and n_transmon >= 2:
-        sigma_minus = b_low
+    if q is not None:
         if q.gamma_1 > 0.0:
             liou = liou + q.gamma_1 * _dissipator(b_low)
         if q.gamma_phi > 0.0:
@@ -262,8 +260,8 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
             liou = liou + 2.0 * q.gamma_phi * _dissipator(num_full)
     return LiouvillianMatrix(matrix=liou, n_fock=cfg.n_fock,
                              n_transmon=n_transmon, a_full=a_full,
-                             sigma_minus_full=sigma_minus, params=p,
-                             transmon=q, drive=drive, cfg=cfg)
+                             sigma_minus_full=b_low, params=p,
+                             transmon=q, drive=drive)
 
 
 @dataclass
@@ -279,7 +277,6 @@ class SteadyStateResult:
     min_eigenvalue: float
     truncation_converged: bool
     n_fock: int
-    cfg: LindbladConfig | None = None
 
     def bogoliubov_occupation(self, r: float) -> float:
         """<alpha^dag alpha> from bare moments via the squeezing transform."""
@@ -287,21 +284,6 @@ class SteadyStateResult:
         chsh = math.cosh(r) * math.sinh(r)
         return (ch2 * self.n_mean + sh2 * (self.n_mean + 1.0)
                 - 2.0 * chsh * self.a_sq.real)
-
-    def to_json(self) -> str:
-        payload = {
-            "n_mean": self.n_mean,
-            "a_sq": [self.a_sq.real, self.a_sq.imag],
-            "thetas": list(map(float, self.thetas)),
-            "var_x": list(map(float, self.var_x)),
-            "var_p": list(map(float, self.var_p)),
-            "trace_residual": self.trace_residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "truncation_converged": self.truncation_converged,
-            "n_fock": self.n_fock,
-            "cfg": asdict(self.cfg) if self.cfg else None,
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:
@@ -384,10 +366,8 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
     min_eig = float(np.linalg.eigvalsh(rho).min())
     converged = True
     if check_convergence:
-        cfg2 = LindbladConfig(n_fock=2 * liou.n_fock,
-                              n_transmon=liou.cfg.n_transmon)
         liou2 = build_liouvillian(liou.params, liou.transmon, liou.drive,
-                                  cfg2)
+                                  LindbladConfig(n_fock=2 * liou.n_fock))
         rho2 = _solve_steady_rho(liou2)
         n2, a2, vx2, vp2 = _moments(rho2, liou2.a_full, thetas)
         scale = max(abs(n_mean), abs(a_sq), 0.25)
@@ -398,7 +378,7 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
     return SteadyStateResult(
         n_mean=n_mean, a_sq=a_sq, thetas=thetas, var_x=var_x, var_p=var_p,
         trace_residual=trace_residual, min_eigenvalue=min_eig,
-        truncation_converged=converged, n_fock=liou.n_fock, cfg=liou.cfg)
+        truncation_converged=converged, n_fock=liou.n_fock)
 
 
 def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
@@ -470,8 +450,7 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     """
     p_off = OscillatorParams(freq_a=p.freq_a, kappa=p.kappa,
                              delta_a=p.delta_a, lam=0.0)
-    eig_off = _oracle_eigenvalue(
-        p_off, q, LindbladConfig(n_fock=4, n_transmon=cfg.n_transmon))
+    eig_off = _oracle_eigenvalue(p_off, q, LindbladConfig(n_fock=4))
     eig_on = _oracle_eigenvalue(p, q, cfg) if p.lam > 0.0 else eig_off
     return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,
                        d_gamma_phi=-(eig_on.real - eig_off.real),
@@ -512,8 +491,7 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     if p.delta_a == 0.0 or p.lam >= abs(p.delta_a):
         raise ValueError("chi_exact requires the detuned regime "
                          "lam < |delta_a|")
-    n_transmon = min(q.n_levels, 3) if cfg.n_transmon == 1 else cfg.n_transmon
-    h, _, _ = _hamiltonian(p, q, None, cfg.n_fock, n_transmon)
+    h, _, _ = _hamiltonian(p, q, None, cfg.n_fock)
     evals, evecs = np.linalg.eigh(h)
     r = 0.5 * math.atanh(p.lam / abs(p.delta_a))
     r_signed = r if p.delta_a > 0 else -r
@@ -521,7 +499,7 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     energies = {}
     for k_level in (0, 1):  # g, e
         for n_exc in (0, 1):
-            target = np.zeros(n_transmon * cfg.n_fock, dtype=complex)
+            target = np.zeros(q.n_levels * cfg.n_fock, dtype=complex)
             start = k_level * cfg.n_fock
             target[start:start + cfg.n_fock] = sq[:, n_exc]
             idx = int(np.argmax(np.abs(evecs.conj().T @ target)))

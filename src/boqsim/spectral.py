@@ -190,8 +190,8 @@ def resonant_steady_state(p: OscillatorParams) -> Moments:
     return Moments(n_mean=n_mean, a_sq=a_sq, s_inf=s_inf)
 
 
-def resonant_driven_shift(p: OscillatorParams, chi_0: float, drive: DriveSpec,
-                          dephasing_model=None) -> SpectralShift:
+def resonant_driven_shift(p: OscillatorParams, chi_0: float,
+                          drive: DriveSpec) -> SpectralShift:
     """Qubit shift under resonant pump (delta_a = 0) and a coherent drive at
     nu_p/2 with phase theta.
 
@@ -199,10 +199,8 @@ def resonant_driven_shift(p: OscillatorParams, chi_0: float, drive: DriveSpec,
     d_omega[lam, n_d] = (kappa^2/4) (kappa^2/4 + lam^2 - lam kappa cos 2theta)
                         / (kappa^2/4 - lam^2)^2 * n_d * chi_0
 
-    Phase-dependent drive dephasing in this regime is delegated to
-    `dephasing_model(p, drive) -> MHz` when provided (external closed form);
-    otherwise d_gamma_phi reports only the pump part
-    (chi_0^2/kappa) n_mean (1 + n_mean) of the undriven steady state.
+    d_gamma_phi reports only the pump part (chi_0^2/kappa) n_mean (1 + n_mean)
+    of the undriven steady state, not the phase-dependent drive dephasing.
     """
     if p.delta_a != 0.0:
         raise ValueError("resonant_driven_shift requires delta_a = 0")
@@ -214,11 +212,8 @@ def resonant_driven_shift(p: OscillatorParams, chi_0: float, drive: DriveSpec,
     drive_shift = (k2 * (k2 + p.lam * p.lam
                          - p.lam * p.kappa * math.cos(2.0 * drive.theta))
                    / den ** 2 * drive.n_d * chi_0)
-    if dephasing_model is not None:
-        d_gamma = float(dephasing_model(p, drive))
-    else:
-        n_mean = 0.5 * p.lam * p.lam / den
-        d_gamma = chi_0 * chi_0 / p.kappa * n_mean * (1.0 + n_mean)
+    n_mean = 0.5 * p.lam * p.lam / den
+    d_gamma = chi_0 * chi_0 / p.kappa * n_mean * (1.0 + n_mean)
     parts = {"lamb": lamb, "stark": 0.0, "thermal": 0.0, "drive": drive_shift}
     return SpectralShift(d_omega_q=lamb + drive_shift, d_gamma_phi=d_gamma,
                          parts=parts)

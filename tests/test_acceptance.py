@@ -130,7 +130,7 @@ def test_criterion_04_enhancement_headline():
     chi_r = chi_transmon(Q_OP, frame, kappa=KAPPA).chi
     chi_0 = chi_transmon(Q_OP, frame0, kappa=KAPPA).chi
     ratio = abs(chi_r / chi_0)
-    cfg = LindbladConfig(n_fock=default_n_fock(p), n_transmon=3)
+    cfg = LindbladConfig(n_fock=default_n_fock(p))
     oracle = chi_exact(p, Q_OP, cfg)
     dev_oracle = abs(oracle - chi_r) / abs(chi_r)
     dev_meas = abs(-0.510 - chi_r) / abs(chi_r)

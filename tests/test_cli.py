@@ -279,6 +279,16 @@ class TestConfigSchema:
         assert err["kind"] == "config"
         assert "kapa" in err["error"] and "delta_a_lst" in err["error"]
 
+    def test_n_levels_is_not_a_key(self, tmp_path, capsys):
+        # the qubit commands model three levels; the level count is not
+        # settable
+        code, _ = run(tmp_path, "qubit_response", "--oracle",
+                      config="delta_a_list = 20\nlam_points = 2\n"
+                             "n_levels = 2\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and "n_levels" in err["error"]
+
     @pytest.mark.parametrize("command,line", [
         ("gain_map", "probe_points = abc"),
         ("gain_map", "lam_points = 2.5"),

@@ -43,9 +43,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_fock"):
             LindbladConfig(n_fock=2)
 
-    def test_transmon_levels_bounded(self):
-        with pytest.raises(ValueError, match="n_transmon"):
-            LindbladConfig(n_fock=8, n_transmon=4)
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    def test_config_keeps_the_transmon_levels(self, n_levels):
+        # a config sets the Fock truncation only; the levels are q's
+        q = dataclasses.replace(Q_OP, n_levels=n_levels)
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
+        liou = build_liouvillian(p, q, cfg=LindbladConfig(n_fock=16))
+        assert liou.n_transmon == n_levels
+        assert liou.sigma_minus_full is not None
 
     def test_default_n_fock_scales_with_antisqueezing(self):
         mild = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=5.0)
@@ -109,14 +114,6 @@ class TestSteadyState:
         with pytest.raises(UnstableDynamics):
             build_liouvillian(p, cfg=LindbladConfig(n_fock=16))
 
-    def test_result_json_round_trip(self):
-        import json
-        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=2.0)
-        res = steady_state(build_liouvillian(p), check_convergence=False)
-        payload = json.loads(res.to_json())
-        assert payload["n_mean"] == pytest.approx(res.n_mean)
-        assert payload["truncation_converged"] is True
-
 
 class TestCoherenceEigenvalue:
     def test_two_level_shift_matches_anomalous_corrected_closed_form(self):
@@ -131,7 +128,7 @@ class TestCoherenceEigenvalue:
         ana = shift_undriven(chi_r.chi, chi_0.chi, frame, 8.7,
                              chi_anomalous=chi_r.chi_anomalous,
                              anomalous=anomalous_moment(p, frame))
-        cfg = LindbladConfig(n_fock=default_n_fock(p), n_transmon=2)
+        cfg = LindbladConfig(n_fock=default_n_fock(p))
         orc = qubit_shift_dephasing(p, q, cfg)
         assert orc.d_omega_q == pytest.approx(ana.d_omega_q, rel=0.10)
 
@@ -139,7 +136,7 @@ class TestCoherenceEigenvalue:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
         q = TransmonParams(delta_q=-80.0, g=4.9, gamma_1=5.0, gamma_phi=2.2,
                            n_levels=2)
-        cfg = LindbladConfig(n_fock=24, n_transmon=2)
+        cfg = LindbladConfig(n_fock=24)
         orc = qubit_shift_dephasing(p, q, cfg)
         # pump-off coherence rotates near delta_q (dispersively shifted by
         # the vacuum chi/2-scale terms, small against delta_q)
@@ -169,7 +166,7 @@ class TestCoherenceEigenvalue:
                 chi_anomalous=chi_r.chi_anomalous,
                 anomalous=anomalous_moment(p, frame))
             orc = qubit_shift_dephasing(p, q, LindbladConfig(
-                n_fock=default_n_fock(p), n_transmon=3))
+                n_fock=default_n_fock(p)))
             errors.append(abs(orc.d_omega_q / ana.d_omega_q - 1.0))
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         assert min(orders) >= 1.8, (errors, orders)
@@ -177,7 +174,7 @@ class TestCoherenceEigenvalue:
 
 class TestChiExact:
     def test_three_level_matches_transmon_closed_form(self):
-        cfg = LindbladConfig(n_fock=default_n_fock(P_OP), n_transmon=3)
+        cfg = LindbladConfig(n_fock=default_n_fock(P_OP))
         exact = chi_exact(P_OP, Q_OP, cfg)
         analytic = chi_transmon(Q_OP, frame_of(P_OP), kappa=8.7).chi
         assert exact == pytest.approx(analytic, rel=0.05)
@@ -185,7 +182,7 @@ class TestChiExact:
     def test_two_level_matches_qubit_closed_form(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=10.0)
         q = TransmonParams(delta_q=-80.0, g=4.9, n_levels=2)
-        cfg = LindbladConfig(n_fock=default_n_fock(p), n_transmon=2)
+        cfg = LindbladConfig(n_fock=default_n_fock(p))
         exact = chi_exact(p, q, cfg)
         analytic = chi_qubit(q, frame_of(p)).chi
         assert exact == pytest.approx(analytic, rel=0.05)
@@ -193,7 +190,7 @@ class TestChiExact:
     def test_error_is_second_order_in_g(self):
         # the dispersive expansion is second order in g (Blais et al.,
         # RMP 93, 025005 (2021)): halving g quarters the error
-        cfg = LindbladConfig(n_fock=default_n_fock(P_OP), n_transmon=3)
+        cfg = LindbladConfig(n_fock=default_n_fock(P_OP))
         errors = []
         for g in (4.9, 2.45, 1.225, 0.6125):
             q = dataclasses.replace(Q_OP, g=g)
@@ -202,10 +199,18 @@ class TestChiExact:
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         assert min(orders) >= 1.8, (errors, orders)
 
+    def test_fourth_level_moves_chi_below_one_percent(self):
+        # the level count is TransmonParams.n_levels, with no cap: a fourth
+        # level moves chi by 0.19% here (0.43% at lam = 19.02)
+        cfg = LindbladConfig(n_fock=32)
+        three = chi_exact(P_OP, Q_OP, cfg)
+        four = chi_exact(P_OP, dataclasses.replace(Q_OP, n_levels=4), cfg)
+        assert four == pytest.approx(three, rel=0.01)
+
     def test_requires_detuned_regime(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=1.0)
         with pytest.raises(ValueError, match="detuned"):
-            chi_exact(p, Q_OP, LindbladConfig(n_fock=16, n_transmon=2))
+            chi_exact(p, Q_OP, LindbladConfig(n_fock=16))
 
 
 def _vec_parities(liou):
@@ -253,21 +258,20 @@ def _sigma_guess(p, q):
 @st.composite
 def undriven_systems(draw, levels=(1, 2, 3)):
     """Stable, undriven (p, q, cfg) in the dispersive regime, n_fock <= 10."""
-    n_transmon = draw(st.sampled_from(levels))
+    n_levels = draw(st.sampled_from(levels))
     delta_a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(5.0, 40.0))
     p = OscillatorParams(freq_a=0.0, kappa=draw(st.floats(2.0, 12.0)),
                          delta_a=delta_a,
                          lam=draw(st.floats(0.0, 0.8)) * abs(delta_a))
     q = None
-    if n_transmon > 1:
+    if n_levels > 1:
         q = TransmonParams(delta_q=delta_a + draw(st.floats(-120.0, -60.0)),
                            g=draw(st.floats(1.0, 6.0)),
                            chi_q=draw(st.floats(-150.0, -80.0)),
                            gamma_1=draw(st.floats(0.5, 6.0)),
                            gamma_phi=draw(st.floats(0.0, 3.0)),
-                           n_levels=n_transmon)
-    cfg = LindbladConfig(n_fock=draw(st.integers(6, 10)),
-                         n_transmon=n_transmon)
+                           n_levels=n_levels)
+    cfg = LindbladConfig(n_fock=draw(st.integers(6, 10)))
     return p, q, cfg
 
 
@@ -385,7 +389,7 @@ class TestParitySectors:
                                lam=5.398959531054032e-220),
               TransmonParams(delta_q=-65.0, g=2.0, chi_q=-80.0, gamma_1=1.0,
                              gamma_phi=0.0, n_levels=2),
-              LindbladConfig(n_fock=6, n_transmon=2)))
+              LindbladConfig(n_fock=6)))
     def test_sector_coherence_eigenvalue_matches_full_space(self, system):
         p, q, cfg = system
         liou = build_liouvillian(p, q, cfg=cfg)
@@ -400,7 +404,7 @@ class TestParitySectors:
     def test_drive_breaks_parity_and_uses_full_space(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
         liou = build_liouvillian(p, Q_OP, DriveSpec(n_d=0.3, theta=0.3),
-                                 LindbladConfig(n_fock=8, n_transmon=3))
+                                 LindbladConfig(n_fock=8))
         assert all(block.nnz > 0 for block in _cross_blocks(liou))
         every = np.arange(liou.dim ** 2)
         for parity in (0, 1):
@@ -413,7 +417,7 @@ class TestParitySectors:
 class TestPumpOffReference:
     """The pump-off reference runs at n_fock = 4, where it is exact."""
 
-    CFG = LindbladConfig(n_fock=10, n_transmon=3)
+    CFG = LindbladConfig(n_fock=10)
 
     @staticmethod
     def params(lam):
@@ -421,12 +425,12 @@ class TestPumpOffReference:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """(lam, n_fock, n_transmon) of every Liouvillian built."""
+        """(lam, n_fock, transmon levels) of every Liouvillian built."""
         calls = []
         real = lindblad.build_liouvillian
 
         def counting(p, q=None, drive=None, cfg=None):
-            calls.append((p.lam, cfg.n_fock, cfg.n_transmon))
+            calls.append((p.lam, cfg.n_fock, 1 if q is None else q.n_levels))
             return real(p, q, drive, cfg)
 
         monkeypatch.setattr(lindblad, "build_liouvillian", counting)
@@ -456,16 +460,14 @@ class TestPumpOffReference:
         ref = _unless_ambiguous(
             lambda: qubit_shift_dephasing(p_off, q, cfg).eig_off)
         drawn = _unless_ambiguous(lambda: lindblad._oracle_eigenvalue(
-            p_off, q, LindbladConfig(n_fock=n_fock,
-                                     n_transmon=cfg.n_transmon)))
+            p_off, q, LindbladConfig(n_fock=n_fock)))
         assert (ref is None) == (drawn is None)
         if ref is not None:
             assert abs(ref - drawn) <= 1e-12 * abs(drawn)
 
     def _block_input(self, lam, n_fock):
         p = self.params(lam)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=n_fock,
-                                                             n_transmon=3))
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=n_fock))
         rho = lindblad._solve_steady_rho(liou)
         return liou, rho, _sigma_guess(p, Q_OP)
 
@@ -501,7 +503,7 @@ class TestOscillatorTarget:
     @example((OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0),
               TransmonParams(delta_q=20.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
                              gamma_phi=2.2, n_levels=3),
-              LindbladConfig(n_fock=10, n_transmon=3)))
+              LindbladConfig(n_fock=10)))
     def test_picks_the_joint_steady_state_eigenvalue(self, system):
         p, q, cfg = system
         liou = build_liouvillian(p, q, cfg=cfg)
@@ -518,7 +520,7 @@ class TestOscillatorTarget:
         # amplitude, n_fock = 32: the strongest squeezing the oracle runs at
         # this scale, where the two targets' overlaps differ most
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
-        cfg = LindbladConfig(n_fock=32, n_transmon=3)
+        cfg = LindbladConfig(n_fock=32)
         liou = build_liouvillian(p, Q_OP, cfg=cfg)
         joint = lindblad._coherence_eigenvalue(
             liou, lindblad._solve_steady_rho(liou), _sigma_guess(p, Q_OP))
@@ -536,7 +538,7 @@ class TestArpackTolerance:
     @example((OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0),
               TransmonParams(delta_q=20.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
                              gamma_phi=2.2, n_levels=3),
-              LindbladConfig(n_fock=10, n_transmon=3)))
+              LindbladConfig(n_fock=10)))
     def test_pick_matches_machine_precision_eigs(self, system):
         p, q, cfg = system
         liou = build_liouvillian(p, q, cfg=cfg)
@@ -553,8 +555,7 @@ class TestArpackTolerance:
         # the benchmark's n_fock = 32, lam = 19.02 point: 64 back-solves,
         # against 107 when every candidate is converged to machine precision
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32,
-                                                             n_transmon=3))
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32))
         rho = _oscillator_target(p, liou)
         pick, lu = _counted_pick(liou, rho, _sigma_guess(p, Q_OP))
         solves = lu.solves
@@ -610,8 +611,7 @@ class TestFactorizedSolve:
         # the benchmark's qubit_response --oracle point: delta_a = 20, its
         # top pump amplitude, n_fock = 32, three levels (4608 odd unknowns)
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32,
-                                                             n_transmon=3))
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32))
         sec = lindblad._parity_sector(liou, 1)
         shifted = (liou.matrix[sec][:, sec]
                    - _sigma_guess(p, Q_OP) * sp.identity(len(sec))).tocsc()
@@ -622,8 +622,7 @@ class TestFactorizedSolve:
 
     def test_wrong_eigenpair_is_rejected(self, monkeypatch):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=8,
-                                                             n_transmon=3))
+        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=8))
         rho = lindblad._solve_steady_rho(liou)
         sigma = _sigma_guess(p, Q_OP)
         mu = lindblad._coherence_eigenvalue(liou, rho, sigma)
@@ -667,7 +666,7 @@ class TestUnknownsBudget:
         (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                           lam=0.99 * 8.7 / 2.0), None, None),
         # the transmon levels count: (3 * 242)^2 > 2^19 >= 242^2
-        (P_OP, Q_OP, LindbladConfig(n_fock=242, n_transmon=3)),
+        (P_OP, Q_OP, LindbladConfig(n_fock=242)),
     ], ids=["resonant_near_critical", "three_levels"])
     def test_over_budget_raises_before_allocating(self, monkeypatch, p, q,
                                                   cfg):

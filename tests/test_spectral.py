@@ -11,7 +11,6 @@ import pytest
 
 from boqsim import (
     DriveSpec,
-    LindbladConfig,
     OscillatorParams,
     anomalous_moment,
     bo_occupation,
@@ -174,11 +173,6 @@ class TestResonantDrivenShift:
         lo = resonant_driven_shift(self.P, -0.25, DriveSpec(n_d=0.5))
         # cos(2 theta) = -1 maximizes the drive amplification of the shift
         assert abs(hi.parts["drive"]) > abs(lo.parts["drive"])
-
-    def test_custom_dephasing_model_is_used(self):
-        res = resonant_driven_shift(self.P, -0.25, DriveSpec(n_d=0.5),
-                                    dephasing_model=lambda p, d: 0.123)
-        assert res.d_gamma_phi == 0.123
 
     def test_requires_resonant_pump(self):
         with pytest.raises(ValueError):
