@@ -24,26 +24,26 @@ Sparse LU: every factorization (_factorize) orders the columns by minimum
 degree on A^T + A and pivots with threshold 0.1, preferring the diagonal
 (SuperLU's symmetric mode; X. S. Li, ACM TOMS 31, 302 (2005)).  The
 Liouvillian blocks are nearly structurally symmetric, and this gives about
-half the fill of the default COLAMD ordering.  A coherence block of more
-than _DENSE_MAX unknowns is factorized as block - sigma I once, and ARPACK
-takes that factorization as its shift-invert operator, the retry included.
-A smaller block is diagonalized densely: ARPACK started in a small invariant
-subspace (the pump-off block) restarts from its own random seed, and its last
-bits vary from call to call.  Either way the pick is among the _N_CANDIDATES
-eigenvalues nearest sigma.  ARPACK stops when every candidate's Ritz estimate
-is below _ARPACK_TOL relative, not at machine precision, and its set can then
-hold a farther eigenvalue in place of a near one of small overlap.  Only the
-pick is certified: its eigenpair must have ||B v - mu v|| / ||v|| <=
+half the fill of the default COLAMD ordering.  ARPACK takes the one
+factorization of the coherence block - sigma I as its shift-invert operator,
+the retry included, and the pick is among the _N_CANDIDATES eigenvalues
+nearest sigma.  ARPACK stops when every candidate's Ritz estimate is below
+_ARPACK_TOL relative, not at machine precision, and its set can then hold a
+farther eigenvalue in place of a near one of small overlap.  Only the pick
+is certified: its eigenpair must have ||B v - mu v|| / ||v|| <=
 1e-13 ||B||_1, or ArpackNoConvergence is raised.  Measured picks have
 residuals below 1e-16 ||B||_1 and match a machine-precision run to 2e-16
 relative.
-build_liouvillian refuses, with TruncationError and before any allocation, a
-truncation of more than _MAX_UNKNOWNS unknowns.
+build_liouvillian and chi_exact refuse, with TruncationError and before any
+allocation, a truncation whose estimated occupation exceeds n_fock/4 or that
+has more than _MAX_UNKNOWNS unknowns.
 
-The pump-off reference runs at n_fock = 4 and is exact there: at lam = 0 with
-no drive, H conserves the total excitation number and every jump keeps or
-lowers it, so the coherences between the zero- and the one-excitation states
-(|g0><e0|, |g0><g1|) form a closed block that any n_fock >= 2 holds in full.
+Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
+the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
+Hamiltonian alone, with the eigenvalues of M = [[i delta_q - gamma_1/2 -
+gamma_phi, i g], [i g, i delta_a - kappa/2]]; the reference is the one of
+larger |e0> weight.  That block is invariant (L is block-triangular with it
+first), so the target's spectral projection onto any other mode is zero.
 
 Eigensolve target: the pick overlaps most with (|g><g| x rho_osc) sigma_minus,
 rho_osc the oscillator steady state.  The target only selects the mode, and the
@@ -76,11 +76,6 @@ _RETRY_NCV = 42
 _ARPACK_TOL = 1e-8
 # eigenvalues nearest sigma among which the coherence mode is picked
 _N_CANDIDATES = 10
-# largest coherence block diagonalized densely (np.linalg.eig), in unknowns:
-# covers the n_fock = 4 pump-off reference (72 with three levels, 128 with
-# four; five or more take the ARPACK path) and stays far below a three-level
-# block at n_fock = 12 (648) or 16 (1152)
-_DENSE_MAX = 128
 # the 2x truncation check passes when no moment moves by this much (relative)
 _CONVERGENCE_FACTOR = 1e-6
 # largest accepted residual ||B v - mu v|| / ||v|| of the picked eigenpair,
@@ -214,6 +209,27 @@ def _dissipator(c: np.ndarray) -> sp.csc_matrix:
             - 0.5 * sp.kron(cd_c.T, ident)).tocsc()
 
 
+def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
+                      n_fock: int, n_levels: int) -> None:
+    """Refuse, before allocating, an estimated occupation over n_fock/4 or
+    more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
+    occ = estimate_occupation(p, drive)
+    if not math.isfinite(occ):
+        raise UnstableDynamics(
+            f"lam = {p.lam} >= lambda_crit = {validate(p).lambda_crit}")
+    if occ > n_fock / 4.0:
+        raise TruncationError(
+            f"estimated occupation {occ:.3g} exceeds n_fock/4 = "
+            f"{n_fock / 4:.3g}; increase n_fock to at least "
+            f"{default_n_fock(p, drive)}")
+    unknowns = (n_fock * n_levels) ** 2
+    if unknowns > _MAX_UNKNOWNS:
+        raise TruncationError(
+            f"n_fock = {n_fock} with {n_levels} transmon level(s) "
+            f"gives {unknowns} unknowns, over the oracle's budget of "
+            f"{_MAX_UNKNOWNS}")
+
+
 def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
                       drive: DriveSpec | None = None,
                       cfg: LindbladConfig | None = None) -> LiouvillianMatrix:
@@ -227,22 +243,7 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
     if cfg is None:
         cfg = LindbladConfig(n_fock=default_n_fock(p, drive))
     n_transmon = 1 if q is None else q.n_levels
-    occ = estimate_occupation(p, drive)
-    if not math.isfinite(occ):
-        rep = validate(p)
-        raise UnstableDynamics(
-            f"lam = {p.lam} >= lambda_crit = {rep.lambda_crit}")
-    if occ > cfg.n_fock / 4.0:
-        raise TruncationError(
-            f"estimated occupation {occ:.3g} exceeds n_fock/4 = "
-            f"{cfg.n_fock / 4:.3g}; increase n_fock to at least "
-            f"{default_n_fock(p, drive)}")
-    unknowns = (cfg.n_fock * n_transmon) ** 2
-    if unknowns > _MAX_UNKNOWNS:
-        raise TruncationError(
-            f"n_fock = {cfg.n_fock} with {n_transmon} transmon level(s) "
-            f"gives {unknowns} unknowns, over the oracle's budget of "
-            f"{_MAX_UNKNOWNS}")
+    _check_truncation(p, drive, cfg.n_fock, n_transmon)
     h, a_full, b_low = _hamiltonian(p, q, drive, cfg.n_fock)
     dim = h.shape[0]
     ident = sp.identity(dim, format="csc")
@@ -381,6 +382,17 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
         truncation_converged=converged, n_fock=liou.n_fock)
 
 
+def _unambiguous_pick(vals: np.ndarray, overlaps: np.ndarray) -> int:
+    """Index of the largest overlap; AmbiguousSector if the next is > 0.9x."""
+    second, best = np.argsort(overlaps)[-2:]
+    if overlaps[second] > 0.9 * overlaps[best]:
+        raise AmbiguousSector(
+            f"two candidate eigenvalues with comparable overlap: "
+            f"{vals[best]:.6g} (|ov|={overlaps[best]:.3f}) and "
+            f"{vals[second]:.6g} (|ov|={overlaps[second]:.3f})")
+    return best
+
+
 def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
                           sigma_guess: complex) -> complex:
     """Eigenvalue of the |g><e| qubit-coherence mode: the candidate that
@@ -393,31 +405,19 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
     target = target[sec] / np.linalg.norm(target)
     block = liou.matrix[sec][:, sec]
     n = block.shape[0]
-    k = min(_N_CANDIDATES, n - 2)
-    if n <= _DENSE_MAX:
-        vals, vecs = np.linalg.eig(block.toarray())
-        near = np.argsort(np.abs(vals - sigma_guess), kind="stable")[:k]
-        vals, vecs = vals[near], vecs[:, near]
-    else:
-        # shift-invert: one factorization of block - sigma I serves every
-        # ARPACK back-solve, the retry's included
-        lu = _factorize(block - sigma_guess * sp.identity(n, format="csc"))
-        opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
-        opts = dict(k=k, sigma=sigma_guess, OPinv=opinv,
-                    v0=target.astype(complex), tol=_ARPACK_TOL)
-        try:
-            vals, vecs = spla.eigs(block, **opts)
-        except spla.ArpackError:
-            # a tiny nonzero lam can stall ARPACK (error 3) at its default size
-            vals, vecs = spla.eigs(block, ncv=min(n, _RETRY_NCV), **opts)
+    # shift-invert: one factorization of block - sigma I serves every ARPACK
+    # back-solve, the retry's included
+    lu = _factorize(block - sigma_guess * sp.identity(n, format="csc"))
+    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    opts = dict(k=min(_N_CANDIDATES, n - 2), sigma=sigma_guess, OPinv=opinv,
+                v0=target.astype(complex), tol=_ARPACK_TOL)
+    try:
+        vals, vecs = spla.eigs(block, **opts)
+    except spla.ArpackError:
+        # a tiny nonzero lam can stall ARPACK (error 3) at its default size
+        vals, vecs = spla.eigs(block, ncv=min(n, _RETRY_NCV), **opts)
     overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
-    order = np.argsort(overlaps)[::-1]
-    best, second = order[0], order[1]
-    if overlaps[second] > 0.9 * overlaps[best]:
-        raise AmbiguousSector(
-            f"two candidate eigenvalues with comparable overlap: "
-            f"{vals[best]:.6g} (|ov|={overlaps[best]:.3f}) and "
-            f"{vals[second]:.6g} (|ov|={overlaps[second]:.3f})")
+    best = _unambiguous_pick(vals, overlaps)
     vec, val = vecs[:, best], vals[best]
     residual = np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
     if not residual <= _EIG_RESIDUAL * spla.norm(block, 1):
@@ -445,16 +445,24 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     The |g><e| coherence evolves at +i delta_q under the bare Hamiltonian, so
     the dressed qubit frequency is Im(eig) and its linewidth is -Re(eig);
     both are reported as pump-on minus pump-off differences.  The pump-off
-    run uses n_fock = 4, where it is exact (see the module docstring), and
-    at lam = 0 it is the pump-on run too, so both differences are 0.0.
+    eigenvalue is exact, from a 2x2 matrix (see the module docstring); at
+    lam = 0 it is the pump-on one too, both differences are 0.0, and no
+    Liouvillian is built.
     """
-    p_off = OscillatorParams(freq_a=p.freq_a, kappa=p.kappa,
-                             delta_a=p.delta_a, lam=0.0)
-    eig_off = _oracle_eigenvalue(p_off, q, LindbladConfig(n_fock=4))
+    eig_off = _pump_off_eigenvalue(p, q)
     eig_on = _oracle_eigenvalue(p, q, cfg) if p.lam > 0.0 else eig_off
     return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,
                        d_gamma_phi=-(eig_on.real - eig_off.real),
                        eig_on=eig_on, eig_off=eig_off)
+
+
+def _pump_off_eigenvalue(p: OscillatorParams, q: TransmonParams) -> complex:
+    """Coherence eigenvalue at lam = 0: the eigenvalue of the module
+    docstring's M whose eigenvector has the larger normalized |e0> weight."""
+    m = np.array([[1j * q.delta_q - 0.5 * q.gamma_1 - q.gamma_phi, 1j * q.g],
+                  [1j * q.g, 1j * p.delta_a - 0.5 * p.kappa]])
+    vals, vecs = np.linalg.eig(m)  # unit-norm eigenvectors
+    return complex(vals[_unambiguous_pick(vals, np.abs(vecs[0]))])
 
 
 def _oracle_eigenvalue(p: OscillatorParams, q: TransmonParams,
@@ -466,15 +474,6 @@ def _oracle_eigenvalue(p: OscillatorParams, q: TransmonParams,
     sigma_guess = 1j * q.delta_q - 0.5 * q.gamma_t - 0.25 * p.kappa
     return _coherence_eigenvalue(
         liou, np.kron(ground, _solve_steady_rho(osc)), sigma_guess)
-
-
-def _squeezed_fock_states(r_signed: float, n_fock: int,
-                          n_states: int) -> np.ndarray:
-    """Columns are |n_s> = U_s^dag |n> with U_s = exp(r/2 (a^2 - a^dag^2))."""
-    a = destroy(n_fock)
-    gen = 0.5 * r_signed * (a @ a - a.conj().T @ a.conj().T)
-    u_dag = expm(gen).conj().T
-    return u_dag[:, :n_states]
 
 
 def chi_exact(p: OscillatorParams, q: TransmonParams,
@@ -491,18 +490,15 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     if p.delta_a == 0.0 or p.lam >= abs(p.delta_a):
         raise ValueError("chi_exact requires the detuned regime "
                          "lam < |delta_a|")
+    _check_truncation(p, None, cfg.n_fock, q.n_levels)
     h, _, _ = _hamiltonian(p, q, None, cfg.n_fock)
     evals, evecs = np.linalg.eigh(h)
     r = 0.5 * math.atanh(p.lam / abs(p.delta_a))
     r_signed = r if p.delta_a > 0 else -r
-    sq = _squeezed_fock_states(r_signed, cfg.n_fock, 2)
-    energies = {}
-    for k_level in (0, 1):  # g, e
-        for n_exc in (0, 1):
-            target = np.zeros(q.n_levels * cfg.n_fock, dtype=complex)
-            start = k_level * cfg.n_fock
-            target[start:start + cfg.n_fock] = sq[:, n_exc]
-            idx = int(np.argmax(np.abs(evecs.conj().T @ target)))
-            energies[(k_level, n_exc)] = evals[idx]
-    return float((energies[(1, 1)] - energies[(1, 0)])
-                 - (energies[(0, 1)] - energies[(0, 0)]))
+    # squeezed Fock states |n_s> = U_s^dag |n>, U_s = exp(r/2 (a^2 - a^dag^2))
+    a = destroy(cfg.n_fock)
+    sq = expm(0.5 * r_signed * (a @ a - a.T @ a.T)).conj().T[:, :2]
+    # products |k>|n_s> in the order g0, g1, e0, e1
+    targets = np.kron(np.eye(q.n_levels)[:, :2], sq)
+    e = evals[np.argmax(np.abs(evecs.conj().T @ targets), axis=0)]
+    return float((e[3] - e[2]) - (e[1] - e[0]))

@@ -345,6 +345,22 @@ class TestOracleFailures:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
 
+    @pytest.mark.parametrize("n_fock,match", [
+        # 1.12 estimated photons at the top pump amplitude
+        (4, "exceeds n_fock/4"),
+        # (3 * 250)^2 unknowns, over the 2^19 budget
+        (250, "unknowns"),
+    ], ids=["occupation", "budget"])
+    @pytest.mark.parametrize("command", ["qubit_response", "chi_sweep"])
+    def test_truncation_rules_are_numerical_errors(self, tmp_path, capsys,
+                                                   command, n_fock, match):
+        code, _ = run(tmp_path, command, "--oracle",
+                      config="delta_a_list = 20\nlam_points = 3\n"
+                             f"n_fock = {n_fock}\n")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical" and match in err["error"]
+
     def test_key_error_is_not_reported_as_config(self, tmp_path,
                                                  monkeypatch):
         self._raise(monkeypatch, KeyError("bug"))
