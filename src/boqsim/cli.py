@@ -79,10 +79,24 @@ SCHEMA = {
 }
 
 
+def _bad_value(kind, val) -> str | None:
+    """What breaks the one rule for given values, or None: a list must be
+    non-empty, every number (list entries included) finite, and an _int
+    count >= 1."""
+    vals = val if isinstance(val, tuple) else (val,)
+    if not vals:
+        return "empty list"
+    if not all(map(math.isfinite, vals)):
+        return f"non-finite value {val!r}"
+    if kind is _int and val < 1:
+        return f"count {val} is below 1"
+    return None
+
+
 def resolve_config(command: str, raw: dict) -> dict:
     """Every SCHEMA[command] key, typed; a missing or null value takes the
-    default.  Unknown keys, values of the wrong type and kappa <= 0 raise
-    ConfigError."""
+    default.  Unknown keys, values of the wrong type, values breaking
+    _bad_value's rule and kappa <= 0 raise ConfigError."""
     schema = SCHEMA[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -90,10 +104,16 @@ def resolve_config(command: str, raw: dict) -> dict:
     cfg = {}
     for key, (kind, default) in schema.items():
         val = raw.get(key)
+        if val is None:
+            cfg[key] = default
+            continue
         try:
-            cfg[key] = default if val is None else kind(val)
+            cfg[key] = kind(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
+        problem = _bad_value(kind, cfg[key])
+        if problem:
+            raise ConfigError(f"config key {key!r}: {problem}")
     if not cfg["kappa"] > 0.0:
         raise ConfigError(f"kappa must be positive, got {cfg['kappa']}")
     return cfg
@@ -122,17 +142,46 @@ def meta_block(params: dict, timestamp: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spec(val) -> str:
+    """The %-format of one cell: ten significant digits for a float
+    (numpy float64 included), str for anything else."""
+    return "%.10g" if isinstance(val, float) else "%s"
+
+
 def _fmt(val) -> str:
-    if isinstance(val, float):
-        return f"{val:.10g}"
-    return str(val)
+    return _spec(val) % (val,)
+
+
+# rows per % call on a float array: bounds the transient list of floats
+_CHUNK_ROWS = 4096
 
 
 def write_csv(path: Path, meta: dict, header: list[str], rows,
               timestamp: bool) -> None:
+    """Write the metadata block, the header and the rows, each cell as
+    _fmt writes it.
+
+    rows is a 2-D float64 array, or a sequence of rows whose cells keep one
+    _spec kind per column (float, or anything printed by str).  One row
+    format, read off the first row, formats the whole table; a row whose
+    cell kinds differ from the first row's raises ValueError."""
     body = [meta_block(meta, timestamp), ",".join(header) + "\n"]
-    for row in rows:
-        body.append(",".join(_fmt(v) for v in row) + "\n")
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.dtype != np.float64:
+            raise ValueError(f"expected a 2-D float64 table, got "
+                             f"{rows.ndim}-D {rows.dtype}")
+        line = ",".join([_spec(0.0)] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            body.append(line * len(chunk) % tuple(chunk.ravel().tolist()))
+    elif rows:
+        specs = list(map(_spec, rows[0]))
+        for row in rows:
+            if list(map(_spec, row)) != specs:
+                raise ValueError(f"row {row!r} does not match the first "
+                                 f"row's cell kinds {specs}")
+        line = ",".join(specs) + "\n"
+        body.append(line * len(rows) % tuple(v for row in rows for v in row))
     write_atomic(path, "".join(body))
 
 
@@ -193,7 +242,7 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
     kappa, deltas = cfg["kappa"], cfg["delta_a_list"]
     probes = np.linspace(-cfg["probe_span"], cfg["probe_span"],
                          cfg["probe_points"])
-    rows, skipped = [], []
+    blocks, skipped = [], []
     for delta_a in deltas:
         l_crit = lambda_critical(kappa, delta_a)
         for lam in np.linspace(0.0, cfg["lam_max_factor"] * l_crit,
@@ -205,10 +254,8 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
             vals = scattering.gamma_signal(p, probes)
             with np.errstate(divide="ignore"):
                 abs_db = 20.0 * np.log10(np.abs(vals))
-            phase = np.angle(vals)
-            for w, adb, ph in zip(probes, abs_db, phase):
-                rows.append((delta_a, float(lam), float(w), float(adb),
-                             float(ph)))
+            blocks.append(np.column_stack(np.broadcast_arrays(
+                delta_a, lam, probes, abs_db, np.angle(vals))))
     meta = {"command": "gain_map", "kappa": kappa,
             "delta_a_list": ",".join(map(_fmt, deltas)),
             "probe_span": cfg["probe_span"],
@@ -216,7 +263,7 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
             "lam_points": cfg["lam_points"], "seed": args.seed}
     write_csv(out / "gain_map.csv", meta,
               ["delta_a", "lam", "freq_mhz", "abs_db", "phase_rad"],
-              rows, not args.no_timestamp)
+              np.concatenate(blocks), not args.no_timestamp)
     if skipped:
         write_atomic(out / "gain_map.log", "\n".join(skipped) + "\n")
 

@@ -14,7 +14,8 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from boqsim import cli, lindblad, scattering
 from boqsim.cli import main
-from boqsim.core import parse_flat
+from boqsim.core import (OscillatorParams, lambda_critical, parse_flat,
+                         validate)
 
 FAST_GAIN_MAP = "delta_a_list = 0,30\nprobe_points = 41\nlam_points = 4\n"
 
@@ -69,6 +70,105 @@ class TestGainMap:
         assert code == 0
         assert (out / "gain_map.log").exists()
         assert "unstable" in (out / "gain_map.log").read_text()
+
+    def test_float_blocks_match_the_per_row_loop(self, tmp_path):
+        # lam_max_factor = 1.2 puts the top lam of each branch past the
+        # critical line, so each branch skips a block
+        code, out = run(tmp_path, "gain_map",
+                        config=FAST_GAIN_MAP + "lam_max_factor = 1.2\n")
+        assert code == 0
+        probes = np.linspace(-60.0, 60.0, 41)
+        lines = ["delta_a,lam,freq_mhz,abs_db,phase_rad"]
+        skipped = []
+        for delta_a in (0.0, 30.0):
+            for lam in np.linspace(0.0, 1.2 * lambda_critical(8.7, delta_a),
+                                   4):
+                p = OscillatorParams(freq_a=6940.0, kappa=8.7,
+                                     delta_a=delta_a, lam=float(lam))
+                if not validate(p).stable:
+                    skipped.append(f"delta_a={delta_a} lam={lam:.6g}: "
+                                   "unstable")
+                    continue
+                vals = scattering.gamma_signal(p, probes)
+                with np.errstate(divide="ignore"):
+                    abs_db = 20.0 * np.log10(np.abs(vals))
+                for w, adb, ph in zip(probes, abs_db, np.angle(vals)):
+                    row = (delta_a, float(lam), float(w), float(adb),
+                           float(ph))
+                    lines.append(",".join(f"{v:.10g}" for v in row))
+        text = (out / "gain_map.csv").read_text()
+        assert [l for l in text.splitlines()
+                if not l.startswith("#")] == lines
+        assert len(skipped) == 2
+        assert (out / "gain_map.log").read_text() == "\n".join(skipped) + "\n"
+
+
+def _reference_csv(meta, header, rows):
+    """Reference writer: each cell formatted on its own, f"{v:.10g}" for a
+    float and str for anything else, then joined."""
+    def fmt(v):
+        return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+    return (cli.meta_block(meta, False) + ",".join(header) + "\n"
+            + "".join(",".join(map(fmt, row)) + "\n" for row in rows))
+
+
+EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16,
+               123456789012.0, -2.5e-300, 1.0 / 3.0)
+
+
+class TestWriteCsv:
+    META = {"command": "test", "kappa": 8.7}
+
+    def _written(self, tmp_path, header, rows):
+        cli.write_csv(tmp_path / "t.csv", self.META, header, rows, False)
+        return (tmp_path / "t.csv").read_text()
+
+    def test_mixed_kind_rows_match_the_per_value_join(self, tmp_path):
+        header = ["x", "x64", "i64", "n", "flags"]
+        rows = [(x, np.float64(x), np.int64(-k), k,
+                 "" if k % 2 else "dispersive_invalid;coalescence")
+                for k, x in enumerate(EDGE_FLOATS)]
+        assert (self._written(tmp_path, header, rows)
+                == _reference_csv(self.META, header, rows))
+
+    def test_float_array_matches_the_per_value_join(self, tmp_path):
+        # more rows than one % call formats, edge values in every column
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((2 * cli._CHUNK_ROWS + 7, 3))
+        table *= 10.0 ** rng.integers(-30, 30, table.shape)
+        table[:len(EDGE_FLOATS)] = np.array(EDGE_FLOATS)[:, None]
+        table[-len(EDGE_FLOATS):] = np.array(EDGE_FLOATS)[:, None]
+        header = ["a", "b", "c"]
+        assert (self._written(tmp_path, header, table)
+                == _reference_csv(self.META, header, list(table)))
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))],
+                             ids=["list", "array"])
+    def test_empty_table_writes_the_header(self, tmp_path, rows):
+        assert (self._written(tmp_path, ["a", "b", "c"], rows)
+                == _reference_csv(self.META, ["a", "b", "c"], []))
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, "a"), (1, "a")],
+        [(1.0, "a"), (1.0, 2.0)],
+        [(np.int64(1),), (np.float64(1.0),)],
+        [(1.0, 2.0), (1.0,)],
+    ], ids=["float_then_int", "str_then_float", "int64_then_float64",
+            "short_row"])
+    def test_a_column_of_mixed_kinds_raises(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="cell kinds"):
+            self._written(tmp_path, ["a", "b"][:len(rows[0])], rows)
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("rows", [
+        np.ones((2, 3), dtype=np.int64),
+        np.ones((2, 3), dtype=np.float32),
+        np.ones(3),
+    ], ids=["int64", "float32", "1-D"])
+    def test_only_2d_float64_arrays_are_tables(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="2-D float64"):
+            self._written(tmp_path, ["a", "b", "c"], rows)
 
 
 class TestGbw:
@@ -302,6 +402,35 @@ class TestConfigSchema:
         code, _ = run(tmp_path, command, config=line + "\n")
         assert code == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+    @pytest.mark.parametrize("command,line,key", [
+        # otherwise caught only inside brentq, least_squares or linspace
+        ("gbw", "gains_db = nan", "gains_db"),
+        ("chi_sweep", "snr_db = nan", "snr_db"),
+        ("gain_map", "probe_points = -3", "probe_points"),
+        # otherwise run to NaN rows or a header-only CSV
+        ("gain_map", "probe_span = nan", "probe_span"),
+        ("gain_map", "probe_points = 0", "probe_points"),
+        ("gain_map", "lam_points = 0", "lam_points"),
+        ("gain_map", "delta_a_list =", "delta_a_list"),
+        ("gain_map", '{"delta_a_list": []}', "delta_a_list"),
+        # a non-finite list entry, and the other kinds of key
+        ("gbw", "gains_db = 6,inf", "gains_db"),
+        ("qubit_response", "delta_q = -inf", "delta_q"),
+        ("qubit_response", "n_fock = 0", "n_fock"),
+        ("oracle_compare", "lam_ratios = 0.2,nan", "lam_ratios"),
+    ], ids=["gains_db_nan", "snr_db_nan", "probe_points_negative",
+            "probe_span_nan", "probe_points_zero", "lam_points_zero",
+            "delta_a_list_empty", "delta_a_list_empty_json",
+            "gains_db_inf_entry", "delta_q_inf", "n_fock_zero",
+            "lam_ratios_nan_entry"])
+    def test_non_finite_or_empty_value_is_config_error(
+            self, tmp_path, capsys, command, line, key):
+        code, out = run(tmp_path, command, config=line + "\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and repr(key) in err["error"]
+        assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", sorted(cli.SCHEMA))
     def test_json_null_takes_the_default(self, tmp_path, command):

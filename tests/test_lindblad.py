@@ -28,6 +28,7 @@ from boqsim import (
     default_n_fock,
     frame_of,
     qubit_shift_dephasing,
+    resonant_driven_shift,
     resonant_steady_state,
     shift_undriven,
     steady_state,
@@ -171,6 +172,38 @@ class TestCoherenceEigenvalue:
             errors.append(abs(orc.d_omega_q / ana.d_omega_q - 1.0))
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         assert min(orders) >= 1.8, (errors, orders)
+
+
+class TestResonantBranch:
+    def test_shift_error_past_its_rate_floor_is_second_order_in_g(self):
+        # resonant pump (delta_a = 0) at the CLI's default qubit (delta_q =
+        # -100, 3 levels), lam / lam_c = 0.05, 0.2, 0.4, n_fock = 24.  The
+        # d_omega error of resonant_driven_shift is a g-independent floor
+        # of 1.1e-3 to 1.2e-3, set by kappa and the qubit rates against
+        # delta_q, plus a part second order in g: at lam / lam_c = 0.05 the
+        # errors at g = 4.9, 2.45, 1.225, 0.6125 are -7.8e-3, -2.3e-4,
+        # +8.6e-4 and +1.08e-3, so their successive differences fall with
+        # orders 2.79 and 2.30
+        kappa = 8.7
+        p0 = OscillatorParams(freq_a=6940.0, kappa=kappa, delta_a=0.0,
+                              lam=0.0)
+        q0 = TransmonParams(delta_q=-100.0, g=4.9, chi_q=-114.0,
+                            gamma_1=5.0, gamma_phi=2.2, n_levels=3)
+        frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=0.0)
+        cfg = LindbladConfig(n_fock=24)
+        for ratio in (0.05, 0.2, 0.4):
+            p = dataclasses.replace(p0, lam=ratio * kappa / 2.0)
+            errors = []
+            for g in (4.9, 2.45, 1.225, 0.6125):
+                q = dataclasses.replace(q0, g=g)
+                chi0 = chi_transmon(q, frame0, kappa=kappa).chi
+                ana = resonant_driven_shift(p, chi0, DriveSpec())
+                orc = qubit_shift_dephasing(p, q, cfg)
+                errors.append(orc.d_omega_q / ana.d_omega_q - 1.0)
+            steps = np.abs(np.diff(errors))
+            orders = np.log2(steps[:-1] / steps[1:])
+            assert min(orders) >= 1.8, (ratio, errors, orders)
+            assert abs(errors[-1]) < 2e-3, (ratio, errors)
 
 
 class TestChiExact:
