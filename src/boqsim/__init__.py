@@ -61,7 +61,6 @@ from .spectral import (
 )
 from .lindblad import (
     AmbiguousSector,
-    LindbladConfig,
     LiouvillianMatrix,
     OracleShift,
     SteadyStateResult,

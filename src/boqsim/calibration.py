@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
 
 from .core import OscillatorParams, lambda_critical
-from .scattering import ComplexSpectrum, gamma_signal
+from .scattering import ComplexSpectrum, gamma_signal, lambda_for_gain
 
 MAX_ITER = 200
 GRAD_TOL = 1e-12
@@ -114,9 +114,7 @@ def _lambda_initial_guess(spectrum: ComplexSpectrum, kappa: float,
             return min(math.sqrt(lam2), 0.98 * l_crit)
     # invert the resonant peak-gain formula
     if g_pk > 1.0:
-        sq = math.sqrt(g_pk)
-        return min(kappa / 2.0 * math.sqrt((sq - 1.0) / (sq + 1.0)),
-                   0.98 * l_crit)
+        return min(lambda_for_gain(kappa, g_pk), 0.98 * l_crit)
     return 0.1 * l_crit
 
 
@@ -142,9 +140,7 @@ def fit_lambda(spectrum: ComplexSpectrum, kappa: float,
     flags = ()
     if res.x[0] > 0.99 * l_crit:
         flags = ("near_stability_boundary",)
-    return FitReport(params=report.params, covariance=report.covariance,
-                     residual_rms=report.residual_rms, n_iter=report.n_iter,
-                     converged=report.converged, flags=flags)
+    return replace(report, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +316,7 @@ def fit_straddling(deltas, chis) -> FitReport:
     same_side_pole = np.all(shifted > 0) or np.all(shifted < 0)
     if same_side_zero and same_side_pole:
         flags = ("poorly_conditioned_one_sided",)
-    return FitReport(params=report.params, covariance=report.covariance,
-                     residual_rms=report.residual_rms, n_iter=report.n_iter,
-                     converged=report.converged, flags=flags)
+    return replace(report, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +349,4 @@ def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
         slope_gamma = float(np.mean(d_gamma[mask] / nd_eff[mask]))
         if slope_gamma < 0:
             flags = ("inconsistent_dephasing_sign",)
-    return FitReport(params=report.params, covariance=report.covariance,
-                     residual_rms=report.residual_rms, n_iter=report.n_iter,
-                     converged=report.converged, flags=flags)
+    return replace(report, flags=flags)

@@ -96,7 +96,7 @@ def _bad_value(kind, val) -> str | None:
 def resolve_config(command: str, raw: dict) -> dict:
     """Every SCHEMA[command] key, typed; a missing or null value takes the
     default.  Unknown keys, values of the wrong type, values breaking
-    _bad_value's rule and kappa <= 0 raise ConfigError."""
+    _bad_value's rule, kappa <= 0 and n_fock < 4 raise ConfigError."""
     schema = SCHEMA[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -116,6 +116,8 @@ def resolve_config(command: str, raw: dict) -> dict:
             raise ConfigError(f"config key {key!r}: {problem}")
     if not cfg["kappa"] > 0.0:
         raise ConfigError(f"kappa must be positive, got {cfg['kappa']}")
+    if cfg.get("n_fock") is not None and cfg["n_fock"] < 4:
+        raise ConfigError(f"n_fock must be >= 4, got {cfg['n_fock']}")
     return cfg
 
 
@@ -203,16 +205,6 @@ def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
                               gamma_1=cfg["gamma_1"],
                               gamma_phi=cfg["gamma_phi"],
                               n_levels=3)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _lindblad_config(cfg: dict, p: OscillatorParams):
-    n_fock = cfg["n_fock"]
-    if n_fock is None:
-        n_fock = lindblad.default_n_fock(p)
-    try:
-        return lindblad.LindbladConfig(n_fock=n_fock)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -350,7 +342,7 @@ def cmd_qubit_response(cfg: dict, out: Path, args) -> None:
         if args.oracle:
             # as in chi_sweep, the oracle covers the detuned branch only
             orc = (None if frame is None else lindblad.qubit_shift_dephasing(
-                p, q, _lindblad_config(cfg, p)))
+                p, q, cfg["n_fock"]))
             shift.append(float("nan") if orc is None else orc.d_omega_q)
             deph.append(float("nan") if orc is None else orc.d_gamma_phi)
         shift_rows.append((*shift, ";".join(flags)))
@@ -412,7 +404,7 @@ def cmd_chi_sweep(cfg: dict, out: Path, args) -> None:
             elif p.lam == 0.0:
                 row.append(chi0.chi)
             else:
-                row.append(lindblad.chi_exact(p, q, _lindblad_config(cfg, p)))
+                row.append(lindblad.chi_exact(p, q, cfg["n_fock"]))
         rows.append(tuple(row))
     header = ["delta_a", "lam", "s_db", "chi_analytic", "chi_fit"]
     if args.oracle:
@@ -463,9 +455,8 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
         chi_res.chi, chi_res0.chi, frame, kappa, variant="transmon",
         delta_q_2_r=chi_res.delta_q_2, delta_q_2_0=chi_res0.delta_q_2,
         chi_anomalous=chi_res.chi_anomalous, anomalous=anom)
-    lcfg = _lindblad_config(cfg, p)
-    orc = lindblad.qubit_shift_dephasing(p, q, lcfg)
-    chi_ed = lindblad.chi_exact(p, q, lcfg)
+    orc = lindblad.qubit_shift_dephasing(p, q, cfg["n_fock"])
+    chi_ed = lindblad.chi_exact(p, q, cfg["n_fock"])
     report = {
         "resonant_moments": resonant,
         "dispersive": {

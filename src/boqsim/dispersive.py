@@ -146,16 +146,17 @@ def dressed_losses(q: TransmonParams, frame: BogoliubovFrame,
     s1 = math.sqrt(q.gamma_1)
     sphi = math.sqrt(q.gamma_phi / 2.0)
     dressed_dephasing = s1 * math.hypot(g * ch / delta_big, g * sh / sigma_big)
-    dressed_excitation = sphi * math.hypot(2.0 * g * ch / delta_big,
-                                           2.0 * g * sh / sigma_big)
-    dressed_relaxation = sphi * math.hypot(2.0 * g * ch / delta_big,
-                                           2.0 * g * sh / sigma_big)
+    # the sigma+ and sigma- parts of the first-order correction to
+    # sqrt(gamma_phi/2) sigma_z: that correction is Hermitian, so their
+    # coefficients are complex conjugates and the two rates are one norm
+    dressed_flip = sphi * math.hypot(2.0 * g * ch / delta_big,
+                                     2.0 * g * sh / sigma_big)
     return DressedLossRates(
         purcell_down=purcell_down,
         purcell_up=purcell_up,
         dressed_dephasing=dressed_dephasing,
-        dressed_excitation=dressed_excitation,
-        dressed_relaxation=dressed_relaxation,
+        dressed_excitation=dressed_flip,
+        dressed_relaxation=dressed_flip,
         kappa=kappa, gamma_1=q.gamma_1, gamma_phi=q.gamma_phi)
 
 

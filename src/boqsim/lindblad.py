@@ -34,9 +34,11 @@ is certified: its eigenpair must have ||B v - mu v|| / ||v|| <=
 1e-13 ||B||_1, or ArpackNoConvergence is raised.  Measured picks have
 residuals below 1e-16 ||B||_1 and match a machine-precision run to 2e-16
 relative.
-build_liouvillian and chi_exact refuse, with TruncationError and before any
-allocation, a truncation whose estimated occupation exceeds n_fock/4 or that
-has more than _MAX_UNKNOWNS unknowns.
+Truncation: every entry point takes n_fock, the Fock truncation, with None
+meaning default_n_fock(p, drive).  build_liouvillian and chi_exact refuse,
+with TruncationError and before any allocation, n_fock < 4, a truncation
+whose estimated occupation exceeds n_fock/4, or one with more than
+_MAX_UNKNOWNS unknowns.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -49,9 +51,10 @@ Eigensolve target: the pick overlaps most with (|g><g| x rho_osc) sigma_minus,
 rho_osc the oscillator steady state.  The target only selects the mode, and the
 joint state (qubit in |g> up to O((g/Delta)^2)) selects the same one.
 
-Levels: the joint space keeps TransmonParams.n_levels transmon levels (one
-level, the oscillator alone, when no transmon is given); the unknowns budget
-is the only bound on them.
+Levels: the joint space keeps n_fock Fock levels times
+TransmonParams.n_levels transmon levels (one level, the oscillator alone,
+when no transmon is given); the unknowns budget is the only bound on the
+transmon levels.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
-from .core import DriveSpec, OscillatorParams, TransmonParams, validate
+from .core import (DriveSpec, OscillatorParams, TransmonParams, frame_of,
+                   validate)
 from .spectral import resonant_steady_state
 
 
@@ -101,26 +105,11 @@ class AmbiguousSector(RuntimeError):
     """Two Liouvillian eigenvalues overlap the target sector comparably."""
 
 
-@dataclass(frozen=True)
-class LindbladConfig:
-    """Fock truncation of the oracle's product space; the transmon keeps
-    TransmonParams.n_levels levels."""
-
-    n_fock: int = 16
-
-    def __post_init__(self):
-        if self.n_fock < 4:
-            raise ValueError("n_fock must be >= 4")
-
-
 def estimate_occupation(p: OscillatorParams, drive: DriveSpec | None) -> float:
     """Rough steady-state photon number used to size the Fock truncation."""
     n_d = drive.n_d if drive is not None else 0.0
-    if p.lam < abs(p.delta_a):
-        if p.delta_a == 0.0:
-            return n_d
-        tanh2r = p.lam / abs(p.delta_a)
-        r = 0.5 * math.atanh(tanh2r)
+    if p.lam < abs(p.delta_a):  # never at delta_a = 0, as lam >= 0
+        r = frame_of(p).r
         return math.sinh(r) ** 2 + n_d * math.cosh(r) ** 2
     if p.delta_a == 0.0 and p.lam < p.kappa / 2.0:
         return resonant_steady_state(p).n_mean + n_d
@@ -138,11 +127,9 @@ def default_n_fock(p: OscillatorParams, drive: DriveSpec | None = None) -> int:
     if not math.isfinite(occ):
         raise UnstableDynamics("cannot size truncation for unstable dynamics")
     if p.delta_a == 0.0:
-        s_inf = (p.kappa / 2.0) / (p.kappa / 2.0 - p.lam) if p.lam else 1.0
-        anti = s_inf
+        anti = resonant_steady_state(p).s_inf
     else:
-        r = 0.5 * math.atanh(p.lam / abs(p.delta_a))
-        anti = math.exp(2.0 * r)
+        anti = math.exp(2.0 * frame_of(p).r)
     return max(16, math.ceil(12.0 * anti + 10.0 * occ + 10.0))
 
 
@@ -210,9 +197,14 @@ def _dissipator(c: np.ndarray) -> sp.csc_matrix:
 
 
 def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
-                      n_fock: int, n_levels: int) -> None:
-    """Refuse, before allocating, an estimated occupation over n_fock/4 or
-    more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
+                      n_fock: int | None, n_levels: int) -> int:
+    """The truncation to use, default_n_fock(p, drive) when n_fock is None.
+    Refuses, before allocating, n_fock < 4, an estimated occupation over
+    n_fock/4 and more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
+    if n_fock is None:
+        n_fock = default_n_fock(p, drive)
+    if n_fock < 4:
+        raise TruncationError(f"n_fock = {n_fock} is below 4")
     occ = estimate_occupation(p, drive)
     if not math.isfinite(occ):
         raise UnstableDynamics(
@@ -228,23 +220,23 @@ def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
             f"n_fock = {n_fock} with {n_levels} transmon level(s) "
             f"gives {unknowns} unknowns, over the oracle's budget of "
             f"{_MAX_UNKNOWNS}")
+    return n_fock
 
 
 def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
                       drive: DriveSpec | None = None,
-                      cfg: LindbladConfig | None = None) -> LiouvillianMatrix:
-    """Assemble the Lindblad superoperator in the truncated product space.
+                      n_fock: int | None = None) -> LiouvillianMatrix:
+    """Assemble the Lindblad superoperator in the truncated product space
+    (n_fock None: default_n_fock(p, drive)).
 
     H = delta_a a^dag a - (lam/2)(a^2 + a^dag^2) [+ transmon levels +
     g sqrt(k+1) exchange] [+ (eps_d/2) a + h.c.]; dissipators sqrt(kappa) a,
     sqrt(gamma_1) (lowering), sqrt(gamma_phi/2) sigma_z (generalized to a
     diagonal level-number operator beyond two levels).
     """
-    if cfg is None:
-        cfg = LindbladConfig(n_fock=default_n_fock(p, drive))
     n_transmon = 1 if q is None else q.n_levels
-    _check_truncation(p, drive, cfg.n_fock, n_transmon)
-    h, a_full, b_low = _hamiltonian(p, q, drive, cfg.n_fock)
+    n_fock = _check_truncation(p, drive, n_fock, n_transmon)
+    h, a_full, b_low = _hamiltonian(p, q, drive, n_fock)
     dim = h.shape[0]
     ident = sp.identity(dim, format="csc")
     h_s = sp.csc_matrix(h)
@@ -257,9 +249,9 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
             # sqrt(2 gamma_phi) * diag(level number); equals
             # sqrt(gamma_phi/2) sigma_z for two levels up to an identity shift
             num_t = np.diag(np.arange(n_transmon, dtype=float))
-            num_full = np.kron(num_t, np.eye(cfg.n_fock))
+            num_full = np.kron(num_t, np.eye(n_fock))
             liou = liou + 2.0 * q.gamma_phi * _dissipator(num_full)
-    return LiouvillianMatrix(matrix=liou, n_fock=cfg.n_fock,
+    return LiouvillianMatrix(matrix=liou, n_fock=n_fock,
                              n_transmon=n_transmon, a_full=a_full,
                              sigma_minus_full=b_low, params=p,
                              transmon=q, drive=drive)
@@ -368,7 +360,7 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
     converged = True
     if check_convergence:
         liou2 = build_liouvillian(liou.params, liou.transmon, liou.drive,
-                                  LindbladConfig(n_fock=2 * liou.n_fock))
+                                  2 * liou.n_fock)
         rho2 = _solve_steady_rho(liou2)
         n2, a2, vx2, vp2 = _moments(rho2, liou2.a_full, thetas)
         scale = max(abs(n_mean), abs(a_sq), 0.25)
@@ -438,9 +430,10 @@ class OracleShift:
 
 
 def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
-                          cfg: LindbladConfig) -> OracleShift:
+                          n_fock: int | None = None) -> OracleShift:
     """Qubit frequency shift and induced dephasing from the coherence-sector
-    Liouvillian eigenvalue, referenced to the pump-off run.
+    Liouvillian eigenvalue at truncation n_fock (None: default_n_fock(p)),
+    referenced to the pump-off run.
 
     The |g><e| coherence evolves at +i delta_q under the bare Hamiltonian, so
     the dressed qubit frequency is Im(eig) and its linewidth is -Re(eig);
@@ -450,7 +443,7 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     Liouvillian is built.
     """
     eig_off = _pump_off_eigenvalue(p, q)
-    eig_on = _oracle_eigenvalue(p, q, cfg) if p.lam > 0.0 else eig_off
+    eig_on = _oracle_eigenvalue(p, q, n_fock) if p.lam > 0.0 else eig_off
     return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,
                        d_gamma_phi=-(eig_on.real - eig_off.real),
                        eig_on=eig_on, eig_off=eig_off)
@@ -466,10 +459,10 @@ def _pump_off_eigenvalue(p: OscillatorParams, q: TransmonParams) -> complex:
 
 
 def _oracle_eigenvalue(p: OscillatorParams, q: TransmonParams,
-                       cfg: LindbladConfig) -> complex:
+                       n_fock: int | None) -> complex:
     """Coherence eigenvalue of one undriven oracle run."""
-    liou = build_liouvillian(p, q, None, cfg)
-    osc = build_liouvillian(p, None, None, LindbladConfig(n_fock=cfg.n_fock))
+    liou = build_liouvillian(p, q, None, n_fock)
+    osc = build_liouvillian(p, None, None, liou.n_fock)
     ground = np.diag(np.eye(liou.n_transmon)[0])  # |g><g|
     sigma_guess = 1j * q.delta_q - 0.5 * q.gamma_t - 0.25 * p.kappa
     return _coherence_eigenvalue(
@@ -477,9 +470,10 @@ def _oracle_eigenvalue(p: OscillatorParams, q: TransmonParams,
 
 
 def chi_exact(p: OscillatorParams, q: TransmonParams,
-              cfg: LindbladConfig) -> float:
+              n_fock: int | None = None) -> float:
     """Dispersive strength from exact diagonalization of the joint
-    Hamiltonian in the bare frame: the qubit-frequency shift per Bogoliubov
+    Hamiltonian in the bare frame at truncation n_fock (None:
+    default_n_fock(p)): the qubit-frequency shift per Bogoliubov
     excitation, chi = (E_e1 - E_e0) - (E_g1 - E_g0).
 
     Eigenstates are identified by maximal overlap with the squeezed-Fock
@@ -490,13 +484,13 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     if p.delta_a == 0.0 or p.lam >= abs(p.delta_a):
         raise ValueError("chi_exact requires the detuned regime "
                          "lam < |delta_a|")
-    _check_truncation(p, None, cfg.n_fock, q.n_levels)
-    h, _, _ = _hamiltonian(p, q, None, cfg.n_fock)
+    n_fock = _check_truncation(p, None, n_fock, q.n_levels)
+    h, _, _ = _hamiltonian(p, q, None, n_fock)
     evals, evecs = np.linalg.eigh(h)
-    r = 0.5 * math.atanh(p.lam / abs(p.delta_a))
+    r = frame_of(p).r
     r_signed = r if p.delta_a > 0 else -r
     # squeezed Fock states |n_s> = U_s^dag |n>, U_s = exp(r/2 (a^2 - a^dag^2))
-    a = destroy(cfg.n_fock)
+    a = destroy(n_fock)
     sq = expm(0.5 * r_signed * (a @ a - a.T @ a.T)).conj().T[:, :2]
     # products |k>|n_s> in the order g0, g1, e0, e1
     targets = np.kron(np.eye(q.n_levels)[:, :2], sq)

@@ -13,14 +13,12 @@ from scipy.optimize import brentq
 
 from boqsim import (
     DriveSpec,
-    LindbladConfig,
     OscillatorParams,
     TransmonParams,
     add_complex_noise,
     build_liouvillian,
     chi_exact,
     chi_transmon,
-    default_n_fock,
     dephasing_from_correlation,
     fit_bandwidth,
     fit_chi_enhanced,
@@ -130,8 +128,7 @@ def test_criterion_04_enhancement_headline():
     chi_r = chi_transmon(Q_OP, frame, kappa=KAPPA).chi
     chi_0 = chi_transmon(Q_OP, frame0, kappa=KAPPA).chi
     ratio = abs(chi_r / chi_0)
-    cfg = LindbladConfig(n_fock=default_n_fock(p))
-    oracle = chi_exact(p, Q_OP, cfg)
+    oracle = chi_exact(p, Q_OP)
     dev_oracle = abs(oracle - chi_r) / abs(chi_r)
     dev_meas = abs(-0.510 - chi_r) / abs(chi_r)
     detail = (f"S = {frame.s_db:.2f} dB; |chi[r]/chi[0]| = {ratio:.3f} "

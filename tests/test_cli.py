@@ -340,6 +340,17 @@ class TestContracts:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config" and "n_fock" in err["error"]
 
+    def test_n_fock_below_four_is_config_error_without_oracle(self, tmp_path,
+                                                               capsys):
+        # the config is checked whole, before any command runs
+        code, out = run(tmp_path, "qubit_response",
+                        config="delta_a_list = 20\nlam_points = 2\n"
+                               "n_fock = 3\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and "n_fock" in err["error"]
+        assert not any(out.glob("*.csv"))
+
     def test_unstable_request_is_numerical_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "lam_ratios = 1.5\n")
         code = main(["oracle_compare", "--out", str(tmp_path), "--config",

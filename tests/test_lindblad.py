@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from boqsim import lindblad
 from boqsim import (
     DriveSpec,
-    LindbladConfig,
     OscillatorParams,
     TransmonParams,
     TruncationError,
@@ -41,16 +40,32 @@ Q_OP = TransmonParams(delta_q=-80.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
 
 
 class TestConfig:
-    def test_minimum_truncation(self):
-        with pytest.raises(ValueError, match="n_fock"):
-            LindbladConfig(n_fock=2)
+    """The oracle's one truncation setting, n_fock."""
+
+    def test_minimum_truncation(self, monkeypatch):
+        def no_hamiltonian(*_args, **_kwargs):
+            raise AssertionError("_hamiltonian called past the rules")
+
+        monkeypatch.setattr(lindblad, "_hamiltonian", no_hamiltonian)
+        p = dataclasses.replace(P_OP, lam=6.0)
+        for run in (build_liouvillian, chi_exact, qubit_shift_dephasing):
+            with pytest.raises(TruncationError, match="n_fock"):
+                run(p, Q_OP, n_fock=3)
+
+    def test_default_truncation_is_default_n_fock(self):
+        p = dataclasses.replace(P_OP, lam=6.0)
+        n_fock = default_n_fock(p)
+        assert (qubit_shift_dephasing(p, Q_OP)
+                == qubit_shift_dephasing(p, Q_OP, n_fock))
+        assert chi_exact(p, Q_OP) == chi_exact(p, Q_OP, n_fock)
+        assert build_liouvillian(p, Q_OP).n_fock == n_fock
 
     @pytest.mark.parametrize("n_levels", [2, 3])
     def test_config_keeps_the_transmon_levels(self, n_levels):
-        # a config sets the Fock truncation only; the levels are q's
+        # n_fock sets the Fock truncation only; the levels are q's
         q = dataclasses.replace(Q_OP, n_levels=n_levels)
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
-        liou = build_liouvillian(p, q, cfg=LindbladConfig(n_fock=16))
+        liou = build_liouvillian(p, q, n_fock=16)
         assert liou.n_transmon == n_levels
         assert liou.sigma_minus_full is not None
 
@@ -95,7 +110,7 @@ class TestSteadyState:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=0.0)
         drive = DriveSpec(n_d=0.7, theta=0.3)
         res = steady_state(build_liouvillian(p, drive=drive,
-                                             cfg=LindbladConfig(n_fock=24)),
+                                             n_fock=24),
                            check_convergence=False)
         assert res.n_mean == pytest.approx(0.7, rel=1e-9)
 
@@ -103,18 +118,18 @@ class TestSteadyState:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=0.0)
         with pytest.raises(ValueError, match="detuning_d"):
             build_liouvillian(p, drive=DriveSpec(n_d=0.5, detuning_d=1.0),
-                              cfg=LindbladConfig(n_fock=16))
+                              n_fock=16)
 
     def test_truncation_error_when_occupation_too_high(self):
         hot = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                                lam=0.98 * 8.7 / 2.0)
         with pytest.raises(TruncationError, match="n_fock"):
-            build_liouvillian(hot, cfg=LindbladConfig(n_fock=8))
+            build_liouvillian(hot, n_fock=8)
 
     def test_unstable_dynamics_rejected(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=4.5)
         with pytest.raises(UnstableDynamics):
-            build_liouvillian(p, cfg=LindbladConfig(n_fock=16))
+            build_liouvillian(p, n_fock=16)
 
 
 class TestCoherenceEigenvalue:
@@ -130,16 +145,14 @@ class TestCoherenceEigenvalue:
         ana = shift_undriven(chi_r.chi, chi_0.chi, frame, 8.7,
                              chi_anomalous=chi_r.chi_anomalous,
                              anomalous=anomalous_moment(p, frame))
-        cfg = LindbladConfig(n_fock=default_n_fock(p))
-        orc = qubit_shift_dephasing(p, q, cfg)
+        orc = qubit_shift_dephasing(p, q)
         assert orc.d_omega_q == pytest.approx(ana.d_omega_q, rel=0.10)
 
     def test_pump_off_eigenvalue_sits_at_bare_coherence(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
         q = TransmonParams(delta_q=-80.0, g=4.9, gamma_1=5.0, gamma_phi=2.2,
                            n_levels=2)
-        cfg = LindbladConfig(n_fock=24)
-        orc = qubit_shift_dephasing(p, q, cfg)
+        orc = qubit_shift_dephasing(p, q, n_fock=24)
         # pump-off coherence rotates near delta_q (dispersively shifted by
         # the vacuum chi/2-scale terms, small against delta_q)
         assert orc.eig_off.imag == pytest.approx(q.delta_q, rel=0.02)
@@ -167,8 +180,7 @@ class TestCoherenceEigenvalue:
                 delta_q_2_r=chi_r.delta_q_2, delta_q_2_0=chi_0.delta_q_2,
                 chi_anomalous=chi_r.chi_anomalous,
                 anomalous=anomalous_moment(p, frame))
-            orc = qubit_shift_dephasing(p, q, LindbladConfig(
-                n_fock=default_n_fock(p)))
+            orc = qubit_shift_dephasing(p, q)
             errors.append(abs(orc.d_omega_q / ana.d_omega_q - 1.0))
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         assert min(orders) >= 1.8, (errors, orders)
@@ -190,7 +202,6 @@ class TestResonantBranch:
         q0 = TransmonParams(delta_q=-100.0, g=4.9, chi_q=-114.0,
                             gamma_1=5.0, gamma_phi=2.2, n_levels=3)
         frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=0.0)
-        cfg = LindbladConfig(n_fock=24)
         for ratio in (0.05, 0.2, 0.4):
             p = dataclasses.replace(p0, lam=ratio * kappa / 2.0)
             errors = []
@@ -198,7 +209,7 @@ class TestResonantBranch:
                 q = dataclasses.replace(q0, g=g)
                 chi0 = chi_transmon(q, frame0, kappa=kappa).chi
                 ana = resonant_driven_shift(p, chi0, DriveSpec())
-                orc = qubit_shift_dephasing(p, q, cfg)
+                orc = qubit_shift_dephasing(p, q, n_fock=24)
                 errors.append(orc.d_omega_q / ana.d_omega_q - 1.0)
             steps = np.abs(np.diff(errors))
             orders = np.log2(steps[:-1] / steps[1:])
@@ -208,43 +219,40 @@ class TestResonantBranch:
 
 class TestChiExact:
     def test_three_level_matches_transmon_closed_form(self):
-        cfg = LindbladConfig(n_fock=default_n_fock(P_OP))
-        exact = chi_exact(P_OP, Q_OP, cfg)
+        exact = chi_exact(P_OP, Q_OP)
         analytic = chi_transmon(Q_OP, frame_of(P_OP), kappa=8.7).chi
         assert exact == pytest.approx(analytic, rel=0.05)
 
     def test_two_level_matches_qubit_closed_form(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=10.0)
         q = TransmonParams(delta_q=-80.0, g=4.9, n_levels=2)
-        cfg = LindbladConfig(n_fock=default_n_fock(p))
-        exact = chi_exact(p, q, cfg)
+        exact = chi_exact(p, q)
         analytic = chi_qubit(q, frame_of(p)).chi
         assert exact == pytest.approx(analytic, rel=0.05)
 
     def test_error_is_second_order_in_g(self):
         # the dispersive expansion is second order in g (Blais et al.,
         # RMP 93, 025005 (2021)): halving g quarters the error
-        cfg = LindbladConfig(n_fock=default_n_fock(P_OP))
         errors = []
         for g in (4.9, 2.45, 1.225, 0.6125):
             q = dataclasses.replace(Q_OP, g=g)
             analytic = chi_transmon(q, frame_of(P_OP), kappa=8.7).chi
-            errors.append(abs(chi_exact(P_OP, q, cfg) / analytic - 1.0))
+            errors.append(abs(chi_exact(P_OP, q) / analytic - 1.0))
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         assert min(orders) >= 1.8, (errors, orders)
 
     def test_fourth_level_moves_chi_below_one_percent(self):
         # the level count is TransmonParams.n_levels, with no cap: a fourth
         # level moves chi by 0.19% here (0.43% at lam = 19.02)
-        cfg = LindbladConfig(n_fock=32)
-        three = chi_exact(P_OP, Q_OP, cfg)
-        four = chi_exact(P_OP, dataclasses.replace(Q_OP, n_levels=4), cfg)
+        three = chi_exact(P_OP, Q_OP, n_fock=32)
+        four = chi_exact(P_OP, dataclasses.replace(Q_OP, n_levels=4),
+                         n_fock=32)
         assert four == pytest.approx(three, rel=0.01)
 
     def test_requires_detuned_regime(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=1.0)
         with pytest.raises(ValueError, match="detuned"):
-            chi_exact(p, Q_OP, LindbladConfig(n_fock=16))
+            chi_exact(p, Q_OP, 16)
 
     @pytest.mark.parametrize("lam,n_fock,match", [
         # 1.12 estimated photons against n_fock/4 = 1
@@ -259,8 +267,7 @@ class TestChiExact:
 
         monkeypatch.setattr(lindblad, "_hamiltonian", no_hamiltonian)
         with pytest.raises(TruncationError, match=match):
-            chi_exact(dataclasses.replace(P_OP, lam=lam), Q_OP,
-                      LindbladConfig(n_fock=n_fock))
+            chi_exact(dataclasses.replace(P_OP, lam=lam), Q_OP, n_fock)
 
 
 def _vec_parities(liou):
@@ -307,7 +314,8 @@ def _sigma_guess(p, q):
 
 @st.composite
 def undriven_systems(draw, levels=(1, 2, 3)):
-    """Stable, undriven (p, q, cfg) in the dispersive regime, n_fock <= 10."""
+    """Stable, undriven (p, q, n_fock) in the dispersive regime,
+    n_fock <= 10."""
     n_levels = draw(st.sampled_from(levels))
     delta_a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(5.0, 40.0))
     p = OscillatorParams(freq_a=0.0, kappa=draw(st.floats(2.0, 12.0)),
@@ -321,19 +329,18 @@ def undriven_systems(draw, levels=(1, 2, 3)):
                            gamma_1=draw(st.floats(0.5, 6.0)),
                            gamma_phi=draw(st.floats(0.0, 3.0)),
                            n_levels=n_levels)
-    cfg = LindbladConfig(n_fock=draw(st.integers(6, 10)))
-    return p, q, cfg
+    return p, q, draw(st.integers(6, 10))
 
 
 @st.composite
 def systems(draw, levels=(1, 2, 3)):
     """An undriven system from undriven_systems, or the same with a coherent
-    drive (which breaks the parity symmetry): (p, q, drive, cfg)."""
-    p, q, cfg = draw(undriven_systems(levels))
+    drive (which breaks the parity symmetry): (p, q, drive, n_fock)."""
+    p, q, n_fock = draw(undriven_systems(levels))
     drive = draw(st.none() | st.builds(
         DriveSpec, n_d=st.floats(0.05, 0.5),
         theta=st.floats(0.0, 2.0 * math.pi)))
-    return p, q, drive, cfg
+    return p, q, drive, n_fock
 
 
 def _unless_ambiguous(run):
@@ -356,7 +363,7 @@ def _target_eigenvalue(vals, vecs, target):
 def _oscillator_target(p, liou):
     """The oracle's eigensolve target: |g><g| tensored with the
     oscillator-only steady state at the same n_fock."""
-    osc = build_liouvillian(p, cfg=LindbladConfig(n_fock=liou.n_fock))
+    osc = build_liouvillian(p, n_fock=liou.n_fock)
     ground = np.diag(np.eye(liou.n_transmon)[0])
     return np.kron(ground, lindblad._solve_steady_rho(osc))
 
@@ -418,7 +425,7 @@ class TestParitySectors:
     @settings(max_examples=25, deadline=None)
     @given(undriven_systems())
     def test_cross_parity_blocks_are_empty(self, system):
-        liou = build_liouvillian(*system[:2], cfg=system[2])
+        liou = build_liouvillian(*system[:2], n_fock=system[2])
         assert all(block.nnz == 0 for block in _cross_blocks(liou))
         vec_par = _vec_parities(liou)
         for parity in (0, 1):
@@ -428,7 +435,7 @@ class TestParitySectors:
     @settings(max_examples=25, deadline=None)
     @given(undriven_systems())
     def test_sector_steady_state_matches_full_space(self, system):
-        liou = build_liouvillian(*system[:2], cfg=system[2])
+        liou = build_liouvillian(*system[:2], n_fock=system[2])
         rho = lindblad._solve_steady_rho(liou)
         assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
 
@@ -438,11 +445,10 @@ class TestParitySectors:
     @example((OscillatorParams(freq_a=0.0, kappa=3.0, delta_a=-5.0,
                                lam=5.398959531054032e-220),
               TransmonParams(delta_q=-65.0, g=2.0, chi_q=-80.0, gamma_1=1.0,
-                             gamma_phi=0.0, n_levels=2),
-              LindbladConfig(n_fock=6)))
+                             gamma_phi=0.0, n_levels=2), 6))
     def test_sector_coherence_eigenvalue_matches_full_space(self, system):
-        p, q, cfg = system
-        liou = build_liouvillian(p, q, cfg=cfg)
+        p, q, n_fock = system
+        liou = build_liouvillian(p, q, n_fock=n_fock)
         rho = lindblad._solve_steady_rho(liou)
         sector = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
         target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")
@@ -453,8 +459,7 @@ class TestParitySectors:
 
     def test_drive_breaks_parity_and_uses_full_space(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
-        liou = build_liouvillian(p, Q_OP, DriveSpec(n_d=0.3, theta=0.3),
-                                 LindbladConfig(n_fock=8))
+        liou = build_liouvillian(p, Q_OP, DriveSpec(n_d=0.3, theta=0.3), 8)
         assert all(block.nnz > 0 for block in _cross_blocks(liou))
         every = np.arange(liou.dim ** 2)
         for parity in (0, 1):
@@ -468,7 +473,7 @@ class TestPumpOffReference:
     """The pump-off reference is an eigenvalue of a 2x2 block, exact at any
     truncation and level count."""
 
-    CFG = LindbladConfig(n_fock=10)
+    N_FOCK = 10
 
     @staticmethod
     def params(lam):
@@ -480,22 +485,22 @@ class TestPumpOffReference:
         calls = []
         real = lindblad.build_liouvillian
 
-        def counting(p, q=None, drive=None, cfg=None):
-            calls.append((p.lam, cfg.n_fock, 1 if q is None else q.n_levels))
-            return real(p, q, drive, cfg)
+        def counting(p, q=None, drive=None, n_fock=None):
+            calls.append((p.lam, n_fock, 1 if q is None else q.n_levels))
+            return real(p, q, drive, n_fock)
 
         monkeypatch.setattr(lindblad, "build_liouvillian", counting)
         return calls
 
     def test_zero_pump_is_exactly_zero(self, builds):
-        orc = qubit_shift_dephasing(self.params(0.0), Q_OP, self.CFG)
+        orc = qubit_shift_dephasing(self.params(0.0), Q_OP, self.N_FOCK)
         assert orc.d_omega_q == 0.0
         assert orc.d_gamma_phi == 0.0
         assert builds == []
 
     def test_sweep_builds_one_pair_per_pumped_call(self, builds):
         for lam in (0.0, 4.0, 8.0):
-            qubit_shift_dephasing(self.params(lam), Q_OP, self.CFG)
+            qubit_shift_dephasing(self.params(lam), Q_OP, self.N_FOCK)
         # each joint build comes with the oscillator-only one of its target
         assert builds == [(4.0, 10, 3), (4.0, 10, 1),
                           (8.0, 10, 3), (8.0, 10, 1)]
@@ -504,19 +509,20 @@ class TestPumpOffReference:
     @given(undriven_systems(levels=(2, 3, 4, 5, 6)), st.integers(4, 16))
     def test_reference_matches_pump_off_at_any_truncation(self, system,
                                                           n_fock):
-        p, q, cfg = system
+        p, q, system_n_fock = system
         p_off = OscillatorParams(freq_a=0.0, kappa=p.kappa,
                                  delta_a=p.delta_a, lam=0.0)
         ref = _unless_ambiguous(
-            lambda: qubit_shift_dephasing(p_off, q, cfg).eig_off)
+            lambda: qubit_shift_dephasing(p_off, q, system_n_fock).eig_off)
         drawn = _unless_ambiguous(lambda: lindblad._oracle_eigenvalue(
-            p_off, q, LindbladConfig(n_fock=n_fock)))
+            p_off, q, n_fock))
         assert (ref is None) == (drawn is None)
         if ref is not None:
             assert abs(ref - drawn) <= 1e-12 * abs(drawn)
 
     def test_pump_off_eigenvalue_is_bitwise_reproducible(self):
-        vals = {qubit_shift_dephasing(self.params(0.0), Q_OP, self.CFG).eig_off
+        vals = {qubit_shift_dephasing(self.params(0.0), Q_OP,
+                                      self.N_FOCK).eig_off
                 for _ in range(12)}
         assert len(vals) == 1
 
@@ -524,8 +530,7 @@ class TestPumpOffReference:
     def test_reference_is_bitwise_reproducible_at_many_levels(self,
                                                                n_levels):
         q = dataclasses.replace(Q_OP, n_levels=n_levels)
-        vals = {qubit_shift_dephasing(self.params(0.0), q,
-                                      LindbladConfig(n_fock=16)).eig_off
+        vals = {qubit_shift_dephasing(self.params(0.0), q, 16).eig_off
                 for _ in range(5)}
         assert len(vals) == 1
 
@@ -542,9 +547,9 @@ class TestPumpOffReference:
         m_vals, m_vecs = np.linalg.eig(np.array(
             [[1j * q.delta_q - q.gamma_1 / 2.0 - q.gamma_phi, 1j * q.g],
              [1j * q.g, 1j * p.delta_a - p.kappa / 2.0]]))
-        eig_off = qubit_shift_dephasing(p, q, self.CFG).eig_off
+        eig_off = qubit_shift_dephasing(p, q, self.N_FOCK).eig_off
         assert eig_off == m_vals[np.argmax(np.abs(m_vecs[0]))]
-        liou = build_liouvillian(p, q, cfg=LindbladConfig(n_fock=4))
+        liou = build_liouvillian(p, q, n_fock=4)
         sec = lindblad._parity_sector(liou, 1)
         target = (_oscillator_target(p, liou)
                   @ liou.sigma_minus_full).reshape(-1, order="F")[sec]
@@ -574,7 +579,7 @@ class TestPumpOffReference:
         # the smallest blocks the CLI accepts: 72 and 112 odd unknowns at
         # three levels; np.linalg.eig is the reference
         p = self.params(lam)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=n_fock))
+        liou = build_liouvillian(p, Q_OP, n_fock=n_fock)
         rho = _oscillator_target(p, liou)
         sigma = _sigma_guess(p, Q_OP)
         got = lindblad._coherence_eigenvalue(liou, rho, sigma)
@@ -597,15 +602,14 @@ class TestOscillatorTarget:
     # comparably, and both picks raise AmbiguousSector
     @example((OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0),
               TransmonParams(delta_q=20.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
-                             gamma_phi=2.2, n_levels=3),
-              LindbladConfig(n_fock=10)))
+                             gamma_phi=2.2, n_levels=3), 10))
     def test_picks_the_joint_steady_state_eigenvalue(self, system):
-        p, q, cfg = system
-        liou = build_liouvillian(p, q, cfg=cfg)
+        p, q, n_fock = system
+        liou = build_liouvillian(p, q, n_fock=n_fock)
         joint = _unless_ambiguous(lambda: lindblad._coherence_eigenvalue(
             liou, lindblad._solve_steady_rho(liou), _sigma_guess(p, q)))
         oracle = _unless_ambiguous(
-            lambda: lindblad._oracle_eigenvalue(p, q, cfg))
+            lambda: lindblad._oracle_eigenvalue(p, q, n_fock))
         assert (joint is None) == (oracle is None)
         if joint is not None:
             assert abs(oracle - joint) <= 1e-10 * abs(joint)
@@ -615,11 +619,10 @@ class TestOscillatorTarget:
         # amplitude, n_fock = 32: the strongest squeezing the oracle runs at
         # this scale, where the two targets' overlaps differ most
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
-        cfg = LindbladConfig(n_fock=32)
-        liou = build_liouvillian(p, Q_OP, cfg=cfg)
+        liou = build_liouvillian(p, Q_OP, n_fock=32)
         joint = lindblad._coherence_eigenvalue(
             liou, lindblad._solve_steady_rho(liou), _sigma_guess(p, Q_OP))
-        oracle = lindblad._oracle_eigenvalue(p, Q_OP, cfg)
+        oracle = lindblad._oracle_eigenvalue(p, Q_OP, 32)
         assert abs(oracle - joint) <= 1e-10 * abs(joint)
 
 
@@ -632,11 +635,10 @@ class TestArpackTolerance:
     # qubit resonant with the oscillator: AmbiguousSector fires either way
     @example((OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0),
               TransmonParams(delta_q=20.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
-                             gamma_phi=2.2, n_levels=3),
-              LindbladConfig(n_fock=10)))
+                             gamma_phi=2.2, n_levels=3), 10))
     def test_pick_matches_machine_precision_eigs(self, system):
-        p, q, cfg = system
-        liou = build_liouvillian(p, q, cfg=cfg)
+        p, q, n_fock = system
+        liou = build_liouvillian(p, q, n_fock=n_fock)
         rho = _oscillator_target(p, liou)
         pick, lu = _counted_pick(liou, rho, _sigma_guess(p, q))
         ref = _tol_zero_pick(liou, rho, _sigma_guess(p, q), lu)
@@ -648,7 +650,7 @@ class TestArpackTolerance:
         # the benchmark's n_fock = 32, lam = 19.02 point: 64 back-solves,
         # against 107 when every candidate is converged to machine precision
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32))
+        liou = build_liouvillian(p, Q_OP, n_fock=32)
         rho = _oscillator_target(p, liou)
         pick, lu = _counted_pick(liou, rho, _sigma_guess(p, Q_OP))
         solves = lu.solves
@@ -679,32 +681,44 @@ class TestFactorizedSolve:
     @settings(max_examples=25, deadline=None)
     @given(systems())
     def test_solve_matches_default_spsolve(self, system):
-        p, q, drive, cfg = system
-        mat, rhs = _full_space_system(build_liouvillian(p, q, drive, cfg))
+        mat, rhs = _full_space_system(build_liouvillian(*system))
         ref = spla.spsolve(mat, rhs)
         got = lindblad._factorize(mat).solve(rhs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=15, deadline=None)
     @given(systems(levels=(2, 3)))
+    # qubit at the Bogoliubov sideband (omega_B = 27.5): the oracle's
+    # overlaps are 0.752 against 0.713, and the reference's runner-up
+    # overlap is 0.949 of its best, so both refuse
+    @example((OscillatorParams(freq_a=0.0, kappa=2.0, delta_a=33.75,
+                               lam=19.51),
+              TransmonParams(delta_q=-27.25, g=2.0, chi_q=-80.0, gamma_1=1.0,
+                             gamma_phi=1.0, n_levels=2), None, 8))
     def test_eigenvalue_matches_default_eigs(self, system):
-        p, q, drive, cfg = system
-        liou = build_liouvillian(p, q, drive, cfg)
+        p, q, drive, n_fock = system
+        liou = build_liouvillian(p, q, drive, n_fock)
         rho = lindblad._solve_steady_rho(liou)
-        got = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
+        got = _unless_ambiguous(lambda: lindblad._coherence_eigenvalue(
+            liou, rho, _sigma_guess(p, q)))
         sec = lindblad._parity_sector(liou, 1)
         block = liou.matrix[sec][:, sec]
         target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")[sec]
         vals, vecs = spla.eigs(block, k=10, sigma=_sigma_guess(p, q),
                                v0=target, ncv=lindblad._RETRY_NCV)
-        ref = _target_eigenvalue(vals, vecs, target)
-        assert abs(got - ref) <= 1e-10 * abs(ref)
+        if got is None:
+            # a refusal stands only where the reference refuses as well
+            runner_up, best = np.sort(_overlaps(vecs, target))[-2:]
+            assert runner_up > 0.9 * best
+        else:
+            ref = _target_eigenvalue(vals, vecs, target)
+            assert abs(got - ref) <= 1e-10 * abs(ref)
 
     def test_fill_at_oracle_shift_point(self):
         # the benchmark's qubit_response --oracle point: delta_a = 20, its
         # top pump amplitude, n_fock = 32, three levels (4608 odd unknowns)
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.02)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=32))
+        liou = build_liouvillian(p, Q_OP, n_fock=32)
         sec = lindblad._parity_sector(liou, 1)
         shifted = (liou.matrix[sec][:, sec]
                    - _sigma_guess(p, Q_OP) * sp.identity(len(sec))).tocsc()
@@ -715,7 +729,7 @@ class TestFactorizedSolve:
 
     def test_wrong_eigenpair_is_rejected(self, monkeypatch):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
-        liou = build_liouvillian(p, Q_OP, cfg=LindbladConfig(n_fock=8))
+        liou = build_liouvillian(p, Q_OP, n_fock=8)
         rho = lindblad._solve_steady_rho(liou)
         sigma = _sigma_guess(p, Q_OP)
         mu = lindblad._coherence_eigenvalue(liou, rho, sigma)
@@ -753,16 +767,16 @@ class TestFactorizedSolve:
 
 
 class TestUnknownsBudget:
-    @pytest.mark.parametrize("p,q,cfg", [
+    @pytest.mark.parametrize("p,q,n_fock", [
         # default_n_fock sizes the resonant lam = 0.99 kappa/2 case at
         # n_fock = 1457: 2.1M unknowns
         (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                           lam=0.99 * 8.7 / 2.0), None, None),
         # the transmon levels count: (3 * 242)^2 > 2^19 >= 242^2
-        (P_OP, Q_OP, LindbladConfig(n_fock=242)),
+        (P_OP, Q_OP, 242),
     ], ids=["resonant_near_critical", "three_levels"])
     def test_over_budget_raises_before_allocating(self, monkeypatch, p, q,
-                                                  cfg):
+                                                  n_fock):
         def no_hamiltonian(*_args, **_kwargs):
             raise AssertionError("_hamiltonian called over the budget")
 
@@ -770,7 +784,7 @@ class TestUnknownsBudget:
         tracemalloc.start()
         try:
             with pytest.raises(TruncationError, match="unknowns"):
-                build_liouvillian(p, q, cfg=cfg)
+                build_liouvillian(p, q, n_fock=n_fock)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
