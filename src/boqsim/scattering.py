@@ -194,6 +194,14 @@ def _local_maxima(amp: np.ndarray) -> list[int]:
     return (np.flatnonzero(is_max) + 1).tolist()
 
 
+def _no_dip(p: OscillatorParams, w1: float, w2: float) -> bool:
+    """No lower amplification halfway between w1 and w2.  It is unimodal
+    in w^2, so two points near the tops +-w_pk see a dip at the midpoint,
+    and two points on one top do not."""
+    a1, mid, a2 = _amplification(p, np.array([w1, 0.5 * (w1 + w2), w2]))
+    return mid >= min(a1, a2)
+
+
 def peak_gain(p: OscillatorParams, grid) -> tuple[float, float]:
     """Refined (freq, gain) of the global power-gain maximum on the grid.
 
@@ -244,10 +252,12 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
         if right is None or left is None:
             raise GridTooCoarseError("3 dB crossing not found near peak")
         peaks.append(PeakInfo(freq=freq, gain=gain, bw_3db=right - left))
-    # merge refined duplicates (flat tops resolve to the same point)
+    # merge refined duplicates: refinements of one top land together or,
+    # where it is flat to round-off, anywhere on it with no dip between
     uniq: list[PeakInfo] = []
     for pk in sorted(peaks, key=lambda q: q.freq):
-        if uniq and abs(pk.freq - uniq[-1].freq) < 1e-6 * max(1.0, span):
+        if uniq and (abs(pk.freq - uniq[-1].freq) < 1e-6 * max(1.0, span)
+                     or _no_dip(p, uniq[-1].freq, pk.freq)):
             continue
         uniq.append(pk)
     best = max(uniq, key=lambda q: q.gain)

@@ -185,6 +185,20 @@ class TestPeakCandidates:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=delta_a, lam=lam)
         assert gain_summary(p, self.GRID).n_peaks == n_peaks
 
+    def test_tied_grid_maxima_over_two_tops_are_two_peaks(self):
+        # the tied grid maxima at +-0.499 bracket both tops, at +-0.798
+        # with a real dip at 0 between them, and each refines to its own
+        kappa = 7.54296875
+        lam = 0.990234375 * lambda_critical(kappa, 38.5)
+        p = OscillatorParams(freq_a=0.0, kappa=kappa, delta_a=38.5, lam=lam)
+        span = 2.0 * (77.0 + 3.0 * kappa)
+        summ = gain_summary(p, np.linspace(-span, span, 400))
+        assert summ.n_peaks == 2
+        w_pk = math.sqrt(kappa ** 2 / 4.0 + 38.5 ** 2 - lam ** 2
+                         - kappa ** 2 / 2.0)
+        for pk in summ.peaks:
+            assert abs(pk.freq) == pytest.approx(w_pk, rel=1e-6)
+
     def test_unpumped_gain_has_no_peak(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=0.0)
         with pytest.raises(GridTooCoarseError):
@@ -212,6 +226,17 @@ class TestPeakCandidates:
              shift=0.0)
     @example(kappa=8.7, delta_a=0.0, ratio=0.5, n=2001, reach=1.0,
              shift=0.0)
+    # grids whose gain falls to 1 + 1e-10: the power-gain reference refined
+    # a round-off value (1 + 8.7e-11 against 1 + 4.9e-10 at the grid edge)
+    # and counted a round-off wiggle as a second peak
+    @example(kappa=0.5, delta_a=53.5, ratio=0.001, n=1422, reach=0.375,
+             shift=0.0)
+    @example(kappa=0.5, delta_a=53.5, ratio=0.001, n=1422, reach=0.375,
+             shift=0.5)
+    # an even grid puts two maxima, equal to round-off, at +-0.005 round
+    # the one top at 0; they refined 7e-6 apart and counted as two peaks
+    @example(kappa=0.5, delta_a=0.25, ratio=0.015625, n=390, reach=1.0,
+             shift=0.0)
     def test_refined_values_match_power_gain_candidates(
             self, kappa, delta_a, ratio, n, reach, shift):
         lam = ratio * lambda_critical(kappa, delta_a)
@@ -225,6 +250,42 @@ class TestPeakCandidates:
 
         new = summary_or_error(p, grid)
         new_peak = peak_gain(p, grid)
+        amp = scattering._amplification(p, grid)
+        # how far each grid maximum stands above its neighbours, relative
+        # to the gain (0 on a tie)
+        margin = min((min(amp[i] - amp[i - 1], amp[i] - amp[i + 1])
+                      / (1.0 + amp[i]) for i in scattering._local_maxima(amp)),
+                     default=math.inf)
+        if amp.min() < 1e-6 or margin < 1e-12:
+            # The reference's power gain is within 1e6 round-offs of 1
+            # somewhere on this grid, where it can refine or count a
+            # round-off wiggle, or a grid maximum stands within 1e3
+            # round-offs of a neighbour, where its round-off can pick the
+            # neighbour and so the other top: check the closed form, to the
+            # closed-form tolerance 1e-9 (the refinement stops within
+            # ~1.5e-8 |w| of a top, which moves a narrow peak's value
+            # by up to ~1e-12).
+            w_pk = math.sqrt(x_pk)
+            g_pk = 1.0 + float(scattering._amplification(p, w_pk))
+            # a set: one peak when w_pk = 0
+            n_true = sum(grid[0] <= w <= grid[-1] for w in {-w_pk, w_pk})
+            if n_true:
+                assert new_peak[1] == pytest.approx(g_pk, rel=1e-9)
+            else:
+                # the maximum over the span is at a grid edge (the first
+                # on a tie, as np.argmax), and peak_gain refines inside the
+                # edge interval
+                edge, inner = (0, 1) if amp[0] >= amp[-1] else (-1, -2)
+                assert new_peak[1] <= (1.0 + amp[edge]) * (1.0 + 1e-14)
+                assert new_peak[1] >= (1.0 + amp[inner]) * (1.0 - 1e-14)
+                assert new_peak[0] == pytest.approx(grid[edge], abs=abs(
+                    grid[edge] - grid[inner]))
+            if isinstance(new, type):
+                return
+            assert 1 <= new.n_peaks <= n_true
+            for pk in new.peaks:
+                assert pk.gain == pytest.approx(g_pk, rel=1e-9)
+            return
         with power_gain_candidates():
             ref = summary_or_error(p, grid)
             ref_peak = peak_gain(p, grid)
