@@ -35,10 +35,10 @@ is certified: its eigenpair must have ||B v - mu v|| / ||v|| <=
 residuals below 1e-16 ||B||_1 and match a machine-precision run to 2e-16
 relative.
 Truncation: every entry point takes n_fock, the Fock truncation, with None
-meaning default_n_fock(p, drive).  build_liouvillian and chi_exact refuse,
-with TruncationError and before any allocation, n_fock < 4, a truncation
-whose estimated occupation exceeds n_fock/4, or one with more than
-_MAX_UNKNOWNS unknowns.
+meaning default_n_fock(p, drive).  build_liouvillian, chi_exact and
+qubit_shift_dephasing (at lam = 0 too) refuse, with TruncationError and
+before any allocation, n_fock < 4, a truncation whose estimated occupation
+exceeds n_fock/4, or one with more than _MAX_UNKNOWNS unknowns.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -440,8 +440,9 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     both are reported as pump-on minus pump-off differences.  The pump-off
     eigenvalue is exact, from a 2x2 matrix (see the module docstring); at
     lam = 0 it is the pump-on one too, both differences are 0.0, and no
-    Liouvillian is built.
+    Liouvillian is built, but n_fock still has to pass the truncation rules.
     """
+    _check_truncation(p, None, n_fock, q.n_levels)
     eig_off = _pump_off_eigenvalue(p, q)
     eig_on = _oracle_eigenvalue(p, q, n_fock) if p.lam > 0.0 else eig_off
     return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,

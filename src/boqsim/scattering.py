@@ -171,7 +171,11 @@ def _refine_peak(p: OscillatorParams, grid: np.ndarray, idx: int
 
 def _halfwidth_crossing(p: OscillatorParams, half: float, w_from: float,
                         w_dir: float, w_limit: float) -> float | None:
-    """March from the peak toward w_dir until gain drops below half."""
+    """March from the peak toward w_dir until gain drops below half.
+
+    The gain is even in w and unimodal in w^2, so its one dip is at w = 0:
+    the march stops there on its way across, and a growing step cannot
+    jump over a narrow dip below half between two tops."""
     f = lambda w: _power_gain(p, np.array([w]))[0] - half
     step = max(p.kappa / 50.0, 1e-3)
     w = w_from
@@ -179,6 +183,8 @@ def _halfwidth_crossing(p: OscillatorParams, half: float, w_from: float,
         w_next = w + w_dir * step
         if (w_next - w_limit) * w_dir > 0:
             w_next = w_limit
+        if w * w_dir < 0.0 < w_next * w_dir:
+            w_next = 0.0
         if f(w_next) < 0:
             return scipy.optimize.brentq(f, min(w, w_next), max(w, w_next),
                                          xtol=1e-12)
@@ -195,11 +201,12 @@ def _local_maxima(amp: np.ndarray) -> list[int]:
 
 
 def _no_dip(p: OscillatorParams, w1: float, w2: float) -> bool:
-    """No lower amplification halfway between w1 and w2.  It is unimodal
-    in w^2, so two points near the tops +-w_pk see a dip at the midpoint,
-    and two points on one top do not."""
+    """Whether the amplification halfway between w1 and w2 is at least the
+    lower of its two values there, to 8 round-offs: a smaller dip cannot be
+    resolved.  It is unimodal in w^2, so two points near the tops +-w_pk
+    see their dip at the midpoint, and two points on one top do not."""
     a1, mid, a2 = _amplification(p, np.array([w1, 0.5 * (w1 + w2), w2]))
-    return mid >= min(a1, a2)
+    return mid >= min(a1, a2) * (1.0 - 8.0 * np.finfo(float).eps)
 
 
 def peak_gain(p: OscillatorParams, grid) -> tuple[float, float]:
@@ -252,12 +259,11 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
         if right is None or left is None:
             raise GridTooCoarseError("3 dB crossing not found near peak")
         peaks.append(PeakInfo(freq=freq, gain=gain, bw_3db=right - left))
-    # merge refined duplicates: refinements of one top land together or,
-    # where it is flat to round-off, anywhere on it with no dip between
+    # merge refinements of one top: they land anywhere on it, as far apart
+    # as it is flat to round-off, with no dip between them
     uniq: list[PeakInfo] = []
     for pk in sorted(peaks, key=lambda q: q.freq):
-        if uniq and (abs(pk.freq - uniq[-1].freq) < 1e-6 * max(1.0, span)
-                     or _no_dip(p, uniq[-1].freq, pk.freq)):
+        if uniq and _no_dip(p, uniq[-1].freq, pk.freq):
             continue
         uniq.append(pk)
     best = max(uniq, key=lambda q: q.gain)

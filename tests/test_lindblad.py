@@ -47,10 +47,11 @@ class TestConfig:
             raise AssertionError("_hamiltonian called past the rules")
 
         monkeypatch.setattr(lindblad, "_hamiltonian", no_hamiltonian)
-        p = dataclasses.replace(P_OP, lam=6.0)
-        for run in (build_liouvillian, chi_exact, qubit_shift_dephasing):
-            with pytest.raises(TruncationError, match="n_fock"):
-                run(p, Q_OP, n_fock=3)
+        for lam in (0.0, 6.0):
+            p = dataclasses.replace(P_OP, lam=lam)
+            for run in (build_liouvillian, chi_exact, qubit_shift_dephasing):
+                with pytest.raises(TruncationError, match="n_fock"):
+                    run(p, Q_OP, n_fock=3)
 
     def test_default_truncation_is_default_n_fock(self):
         p = dataclasses.replace(P_OP, lam=6.0)
