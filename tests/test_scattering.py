@@ -183,7 +183,8 @@ def assert_closed_form_peaks(p: OscillatorParams, grid: np.ndarray,
     D = (x - u)^2 + C^2 - u^2 with u = C - kappa^2/2, so A >= a holds on
     |x - u| <= R(a), R^2 = (x_pk - u)^2 + D_pk (A_pk / a - 1): its tops at
     +-w_pk = +-sqrt(max(u, 0)), their gain 1 + A_pk and the 3 dB crossings
-    follow without a search.  summ is a GainSummary or GridTooCoarseError.
+    follow without a search.  summ is a GainSummary or, for a refusal,
+    the GridTooCoarseError class.
     """
     k, d, lam = p.kappa, p.delta_a, p.lam
     c = k * k / 4.0 + d * d - lam * lam
