@@ -95,8 +95,9 @@ def _bad_value(kind, val) -> str | None:
 
 def resolve_config(command: str, raw: dict) -> dict:
     """Every SCHEMA[command] key, typed; a missing or null value takes the
-    default.  Unknown keys, values of the wrong type, values breaking
-    _bad_value's rule, kappa <= 0 and n_fock < 4 raise ConfigError."""
+    default.  Unknown keys, values of the wrong type (a JSON boolean, list
+    entries included, is not a number), values breaking _bad_value's rule,
+    kappa <= 0 and n_fock < 4 raise ConfigError."""
     schema = SCHEMA[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -107,6 +108,10 @@ def resolve_config(command: str, raw: dict) -> dict:
         if val is None:
             cfg[key] = default
             continue
+        if any(isinstance(v, bool) for v in
+               (val if isinstance(val, list) else [val])):
+            raise ConfigError(f"config key {key!r}: boolean {val!r} is not "
+                              "a number")
         try:
             cfg[key] = kind(val)
         except (TypeError, ValueError) as exc:

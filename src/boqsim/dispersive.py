@@ -96,7 +96,7 @@ def _dispersive(q: TransmonParams, frame: BogoliubovFrame, kappa: float,
                  + g * g * sh2 / sigma_big * lamb_num / lamb_den)
     omega_a_2 = -g * g * ch2 / delta_big - g * g * sh2 / sigma_big
     sinh_2r = math.sinh(2.0 * frame.r)
-    chi_anom = (g * g * sinh_2r / q.delta_q) * q.delta_q ** 2 / (
+    chi_anom = g * g * sinh_2r * q.delta_q / (
         q.delta_q ** 2 - frame.omega_bog ** 2)
     eta = _eta(g, frame, delta_big, sigma_big, kappa, q.gamma_1, q.gamma_phi)
     return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
@@ -110,7 +110,7 @@ def chi_qubit(q: TransmonParams, frame: BogoliubovFrame,
     chi_transmon.
 
     chi = 2 g^2 cosh^2 r / Delta[r] + 2 g^2 sinh^2 r / Sigma[r],
-    chi_a = (g^2 sinh 2r / delta_q) * delta_q^2 / (delta_q^2 - Omega_a^2).
+    chi_a = g^2 sinh 2r delta_q / (delta_q^2 - Omega_a^2), 0 at delta_q = 0.
     """
     return _dispersive(q, frame, kappa, *_detunings(q.delta_q, frame))
 

@@ -38,7 +38,9 @@ Truncation: every entry point takes n_fock, the Fock truncation, with None
 meaning default_n_fock(p, drive).  build_liouvillian, chi_exact and
 qubit_shift_dephasing (at lam = 0 too) refuse, with TruncationError and
 before any allocation, n_fock < 4, a truncation whose estimated occupation
-exceeds n_fock/4, or one with more than _MAX_UNKNOWNS unknowns.
+exceeds n_fock/4, or one with more than _MAX_UNKNOWNS unknowns.  A stable
+detuned pump with lam >= |delta_a| has no estimate and is refused the same
+way; past lambda_crit the refusal is UnstableDynamics.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -116,6 +118,19 @@ def estimate_occupation(p: OscillatorParams, drive: DriveSpec | None) -> float:
     return float("inf")
 
 
+def _unsized(p: OscillatorParams) -> Exception:
+    """Why estimate_occupation is infinite: the dynamics are unstable, or a
+    stable pump has lam >= |delta_a|, with no squeezing frame to size the
+    truncation by."""
+    rep = validate(p)
+    if not rep.stable:
+        return UnstableDynamics(
+            f"lam = {p.lam} >= lambda_crit = {rep.lambda_crit}")
+    return TruncationError(
+        f"cannot size the truncation for lam = {p.lam} >= |delta_a| = "
+        f"{abs(p.delta_a)}")
+
+
 def default_n_fock(p: OscillatorParams, drive: DriveSpec | None = None) -> int:
     """Truncation sized to the slow Fock-space tails of squeezed states.
 
@@ -125,7 +140,7 @@ def default_n_fock(p: OscillatorParams, drive: DriveSpec | None = None) -> int:
     """
     occ = estimate_occupation(p, drive)
     if not math.isfinite(occ):
-        raise UnstableDynamics("cannot size truncation for unstable dynamics")
+        raise _unsized(p)
     if p.delta_a == 0.0:
         anti = resonant_steady_state(p).s_inf
     else:
@@ -207,8 +222,7 @@ def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
         raise TruncationError(f"n_fock = {n_fock} is below 4")
     occ = estimate_occupation(p, drive)
     if not math.isfinite(occ):
-        raise UnstableDynamics(
-            f"lam = {p.lam} >= lambda_crit = {validate(p).lambda_crit}")
+        raise _unsized(p)
     if occ > n_fock / 4.0:
         raise TruncationError(
             f"estimated occupation {occ:.3g} exceeds n_fock/4 = "
@@ -344,12 +358,20 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
 
     When check_convergence is set the solve is repeated at twice the Fock
     truncation; truncation_converged records whether the moments moved by
-    less than _CONVERGENCE_FACTOR (relative).
+    less than _CONVERGENCE_FACTOR (relative).  A twice-size truncation the
+    oracle refuses is refused before the first solve.
     """
     rep = validate(liou.params)
     if not rep.stable:
         raise UnstableDynamics(
             f"lam = {liou.params.lam} >= lambda_crit = {rep.lambda_crit}")
+    if check_convergence:
+        try:
+            _check_truncation(liou.params, liou.drive, 2 * liou.n_fock,
+                              liou.n_transmon)
+        except TruncationError as exc:
+            raise TruncationError(f"the convergence check needs n_fock = "
+                                  f"{2 * liou.n_fock}: {exc}") from exc
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, 9)
     thetas = np.asarray(thetas, dtype=float)

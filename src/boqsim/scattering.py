@@ -169,28 +169,23 @@ def _refine_peak(p: OscillatorParams, grid: np.ndarray, idx: int
     return float(res.x), float(-res.fun)
 
 
-def _halfwidth_crossing(p: OscillatorParams, half: float, w_from: float,
-                        w_dir: float, w_limit: float) -> float | None:
-    """March from the peak toward w_dir until gain drops below half.
-
-    The gain is even in w and unimodal in w^2, so its one dip is at w = 0:
-    the march stops there on its way across, and a growing step cannot
-    jump over a narrow dip below half between two tops."""
-    f = lambda w: _power_gain(p, np.array([w]))[0] - half
-    step = max(p.kappa / 50.0, 1e-3)
-    w = w_from
-    while (w - w_limit) * w_dir < 0:
-        w_next = w + w_dir * step
-        if (w_next - w_limit) * w_dir > 0:
-            w_next = w_limit
-        if w * w_dir < 0.0 < w_next * w_dir:
-            w_next = 0.0
-        if f(w_next) < 0:
-            return scipy.optimize.brentq(f, min(w, w_next), max(w, w_next),
-                                         xtol=1e-12)
-        w = w_next
-        step *= 1.5
-    return None
+def _half_gain_width(p: OscillatorParams, gain: float) -> float:
+    """Full width at half the power gain of a top, inf for gain <= 2.  The
+    amplification K/((x - u)^2 + C^2 - u^2), K = kappa^2 lam^2, x = w^2,
+    u = C - kappa^2/2, is a = gain/2 - 1 at x = u +- R, R^2 = K/a - (C^2 -
+    u^2), and C^2 - u^2 = (kappa^2/2)(C + u) has no cancellation."""
+    a = gain / 2.0 - 1.0
+    if a <= 0.0:
+        return math.inf
+    k, d, l = p.kappa, p.delta_a, p.lam
+    c = k * k / 4.0 + d * d - l * l
+    u = c - k * k / 2.0
+    q = (k * l) ** 2 / a
+    r = math.sqrt(q - 0.5 * k * k * (c + u))
+    if u > r:  # the dip at 0 falls below half: one top's width
+        return 2.0 * r / (math.sqrt(u + r) + math.sqrt(u - r))
+    # across both tops: u + r, formed as (K/a - C^2)/(r - u) for u < 0
+    return 2.0 * math.sqrt(u + r if u >= 0.0 else (q - c * c) / (r - u))
 
 
 def _local_maxima(amp: np.ndarray) -> list[int]:
@@ -232,11 +227,11 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
     As in peak_gain, the candidates are the grid maxima of the
     cancellation-free amplification |Gamma_a|^2 - 1, which has at most two
     (it is a Lorentzian in omega^2), so round-off wiggles of a near-unit gain
-    are never refined or counted as peaks.  Without a pump (lam = 0) the gain
-    is flat, has no maximum, and GridTooCoarseError is raised.
-
-    Since |Gamma_a|^2 >= 1 everywhere (lossless reflection), a peak with
-    gain < 2 never drops to half its maximum; its bw_3db is reported as inf.
+    are never refined or counted as peaks.  Each bw_3db is exact given the
+    refined gain (_half_gain_width), and inf below gain 2, as |Gamma_a|^2 >= 1
+    everywhere.  GridTooCoarseError is raised only for fewer than 5 grid
+    points or no interior grid maximum (the grid misses every top, or
+    lam = 0 and the gain is flat).
     """
     _check_stable(p)
     grid = np.asarray(grid, dtype=float)
@@ -245,20 +240,8 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
     maxima = _local_maxima(_amplification(p, grid))
     if not maxima:
         raise GridTooCoarseError("no local gain maximum bracketed by grid")
-    span = grid[-1] - grid[0]
-    peaks = []
-    for i in maxima:
-        freq, gain = _refine_peak(p, grid, i)
-        if gain / 2.0 <= 1.0:
-            peaks.append(PeakInfo(freq=freq, gain=gain, bw_3db=math.inf))
-            continue
-        right = _halfwidth_crossing(p, gain / 2.0, freq, +1.0,
-                                    grid[-1] + 2.0 * span)
-        left = _halfwidth_crossing(p, gain / 2.0, freq, -1.0,
-                                   grid[0] - 2.0 * span)
-        if right is None or left is None:
-            raise GridTooCoarseError("3 dB crossing not found near peak")
-        peaks.append(PeakInfo(freq=freq, gain=gain, bw_3db=right - left))
+    peaks = [PeakInfo(freq=f, gain=g, bw_3db=_half_gain_width(p, g))
+             for f, g in (_refine_peak(p, grid, i) for i in maxima)]
     # merge refinements of one top: they land anywhere on it, as far apart
     # as it is flat to round-off, with no dip between them
     uniq: list[PeakInfo] = []

@@ -218,6 +218,15 @@ class TestQubitResponse:
             if float(r["lam"]) == 0.0:
                 assert float(r["d_omega_q"]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_qubit_at_half_pump_frequency(self, tmp_path):
+        # delta_q = 0 once divided by zero in the anomalous coefficient
+        code, out = run(tmp_path, "qubit_response",
+                        config="delta_a_list = 20\nlam_points = 3\n"
+                               "delta_q = 0\n")
+        assert code == 0
+        rows = read_csv(out / "qubit_shift.csv")
+        assert all(math.isfinite(float(r["d_omega_q"])) for r in rows)
+
     def test_oracle_column_present_when_requested(self, tmp_path):
         cfg = "delta_a_list = 20\nlam_points = 3\nn_fock = 24\n"
         code, out = run(tmp_path, "qubit_response", "--oracle", config=cfg)
@@ -438,6 +447,20 @@ class TestConfigSchema:
     def test_non_finite_or_empty_value_is_config_error(
             self, tmp_path, capsys, command, line, key):
         code, out = run(tmp_path, command, config=line + "\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and repr(key) in err["error"]
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("config,key", [
+        ({"kappa": True}, "kappa"),
+        ({"delta_a_list": [True, 30]}, "delta_a_list"),
+        ({"gains_db": False}, "gains_db"),
+    ], ids=["scalar", "list_entry", "false"])
+    def test_json_boolean_is_config_error(self, tmp_path, capsys, config,
+                                          key):
+        # float(True) is 1.0: a boolean once ran as kappa = 1 or delta_a = 1
+        code, out = run(tmp_path, "gbw", config=json.dumps(config))
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config" and repr(key) in err["error"]

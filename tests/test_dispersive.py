@@ -1,5 +1,6 @@
 """Dispersive coupling strengths, dressed losses, pump conversion."""
 
+import dataclasses
 import math
 
 import pytest
@@ -84,6 +85,17 @@ class TestChiTransmon:
     def test_anomalous_coefficient_grows_from_zero(self):
         assert chi_transmon(Q, FRAME0).chi_anomalous == 0.0
         assert chi_transmon(Q, frame_at(20.0, 17.0)).chi_anomalous != 0.0
+
+    def test_qubit_at_half_pump_frequency(self):
+        # delta_q = 0: chi_a = g^2 sinh 2r delta_q / (delta_q^2 - Omega^2)
+        # is 0 there, with no division by delta_q
+        frame = frame_at(20.0, 17.0)
+        res = chi_transmon(dataclasses.replace(Q, delta_q=0.0), frame)
+        assert res.chi_anomalous == 0.0 and math.isfinite(res.chi)
+        expect = (4.9 ** 2 * math.sinh(2.0 * frame.r) * -80.0
+                  / (80.0 ** 2 - frame.omega_bog ** 2))
+        assert chi_transmon(Q, frame).chi_anomalous == pytest.approx(
+            expect, rel=1e-14)
 
 
 class TestDressedLosses:

@@ -79,6 +79,22 @@ class TestConfig:
             default_n_fock(OscillatorParams(freq_a=0.0, kappa=8.7,
                                             delta_a=0.0, lam=5.0))
 
+    @pytest.mark.parametrize("lam,error", [
+        # stable (lambda_crit = 20.468), but lam >= |delta_a| leaves no
+        # squeezing frame to size the truncation by
+        (20.2, TruncationError),
+        (20.5, UnstableDynamics),
+    ], ids=["below_lambda_crit", "above_lambda_crit"])
+    def test_unsized_truncation_is_unstable_only_past_lambda_crit(
+            self, lam, error):
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=lam)
+        match = "size the truncation" if error is TruncationError else "crit"
+        for run in (lambda: default_n_fock(p),
+                    lambda: build_liouvillian(p, n_fock=64),
+                    lambda: qubit_shift_dephasing(p, Q_OP)):
+            with pytest.raises(error, match=match):
+                run()
+
 
 class TestSteadyState:
     def test_resonant_moments_match_closed_forms(self):
@@ -131,6 +147,20 @@ class TestSteadyState:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=4.5)
         with pytest.raises(UnstableDynamics):
             build_liouvillian(p, n_fock=16)
+
+    def test_convergence_check_over_budget_refused_before_solving(
+            self, monkeypatch):
+        # 24^2 unknowns fit a budget of 1000, the 2x check's 48^2 do not
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=2.0)
+        liou = build_liouvillian(p, n_fock=24)
+        solves = []
+        monkeypatch.setattr(lindblad, "_MAX_UNKNOWNS", 1000)
+        monkeypatch.setattr(lindblad, "_solve_steady_rho",
+                            lambda liou: solves.append(liou))
+        with pytest.raises(TruncationError,
+                           match="convergence check needs n_fock = 48"):
+            steady_state(liou)
+        assert solves == []
 
 
 class TestCoherenceEigenvalue:

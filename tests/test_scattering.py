@@ -51,6 +51,8 @@ def langevin_oracle(p: OscillatorParams, w: float) -> tuple[complex, complex]:
 
 P_DETUNED = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=25.0)
 P_RESONANT = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0)
+# the grid gbw uses at delta_a = 30, kappa = 8.7
+GBW_GRID = np.linspace(-86.1, 86.1, 2001)
 
 
 class TestReflectionAmplitudes:
@@ -119,15 +121,38 @@ class TestGainSummary:
         assert summ.g_max < 2.0
         assert math.isinf(summ.bw_3db)
 
-    def test_bandwidth_against_independent_crossing_solve(self):
-        grid = np.linspace(-40, 40, 801)
-        summ = gain_summary(P_RESONANT, grid)
+    @pytest.mark.parametrize("p, grid, bw", [
+        (P_RESONANT, np.linspace(-40, 40, 801), 3.0111),
+        # gbw's 6 dB row at delta_a = 30: the dip at 0 falls below half,
+        # and the width is one top's
+        (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0,
+                          lam=25.96016605), GBW_GRID, 15.154),
+        # its 9 dB row: the dip stays above half, and the width spans both
+        # tops
+        (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0,
+                          lam=28.04811425), GBW_GRID, 28.386),
+    ], ids=["resonant", "split", "spanning"])
+    def test_bandwidth_against_independent_crossing_solve(self, p, grid, bw):
+        summ = gain_summary(p, grid)
 
         def excess(w):
-            return abs(langevin_oracle(P_RESONANT, w)[0]) ** 2 - summ.g_max / 2
+            return abs(langevin_oracle(p, w)[0]) ** 2 - summ.g_max / 2
 
-        right = brentq(excess, 0.0, 40.0, xtol=1e-12)
-        assert summ.bw_3db == pytest.approx(2.0 * right, rel=1e-9)
+        w_pk = abs(summ.peak_freq)
+        right = brentq(excess, w_pk, grid[-1], xtol=1e-12)
+        if excess(0.0) < 0.0:
+            width = right - brentq(excess, 0.0, w_pk, xtol=1e-12)
+        else:
+            width = 2.0 * right
+        assert summ.bw_3db == pytest.approx(width, rel=1e-9)
+        assert summ.bw_3db == pytest.approx(bw, rel=1e-4)
+
+    def test_bandwidth_needs_no_grid_past_the_crossings(self):
+        # the grid brackets the top at 0 but not the crossings at +-1.5
+        wide = gain_summary(P_RESONANT, np.linspace(-40, 40, 801))
+        narrow = gain_summary(P_RESONANT, np.linspace(-0.2, 0.2, 11))
+        assert narrow.bw_3db == pytest.approx(wide.bw_3db, rel=1e-14)
+        assert narrow.bw_3db == pytest.approx(3.011139212408, rel=1e-12)
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarseError):
@@ -223,14 +248,9 @@ def assert_closed_form_peaks(p: OscillatorParams, grid: np.ndarray,
         assert peak[0] == pytest.approx(grid[edge], abs=abs(
             grid[edge] - grid[inner]))
 
-    span = grid[-1] - grid[0]
     if isinstance(summ, type):
-        # refused only where no grid point inside brackets a top, or where
-        # a 3 dB crossing lies past the search window, 2 spans out
-        a_half = (g_pk / 2.0 - 1.0) * (1.0 - 1e-9)
-        outer = math.sqrt(x_range(a_pk - a_half)[1]) if a_half > 0 else 0.0
-        assert (int(np.argmax(idler_power(p, grid))) in (0, len(grid) - 1)
-                or outer >= min(grid[-1] + 2.0 * span, 2.0 * span - grid[0]))
+        # refused only where no grid point inside brackets a top
+        assert int(np.argmax(idler_power(p, grid))) in (0, len(grid) - 1)
         return
     # the tops the grid resolves: those nearest (on the same side; one top
     # when w_pk = 0) to an interior grid point whose Langevin idler power
