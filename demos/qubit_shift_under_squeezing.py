@@ -58,11 +58,8 @@ def main() -> None:
     frame = frame_of(p)
     chi_r = chi_transmon(Q, frame, kappa=KAPPA)
     chi_0 = chi_transmon(Q, frame0, kappa=KAPPA)
-    ana = shift_undriven(
-        chi_r.chi, chi_0.chi, frame, KAPPA, variant="transmon",
-        delta_q_2_r=chi_r.delta_q_2, delta_q_2_0=chi_0.delta_q_2,
-        chi_anomalous=chi_r.chi_anomalous,
-        anomalous=anomalous_moment(p, frame))
+    ana = shift_undriven(chi_r, chi_0, frame, KAPPA,
+                         anomalous=anomalous_moment(p, frame))
     print(f"  chi[r] closed form  = {1e3 * chi_r.chi:8.1f} kHz")
     print(f"  chi[r] exact diag.  = {1e3 * chi_exact(p, Q):8.1f} kHz")
     print(f"  pump-induced shift (closed form) = "
@@ -84,9 +81,7 @@ def main() -> None:
         frame = frame_of(p)
         f0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=delta_a)
         cr, c0 = (chi_transmon(q, fr, kappa=KAPPA) for fr in (frame, f0))
-        res = shift_undriven(cr.chi, c0.chi, frame, KAPPA,
-                             variant="transmon", delta_q_2_r=cr.delta_q_2,
-                             delta_q_2_0=c0.delta_q_2)
+        res = shift_undriven(cr, c0, frame, KAPPA)
         print(f"  delta_a = {delta_a:+5.1f} MHz: shift = "
               f"{1e3 * res.d_omega_q:8.1f} kHz, dephasing = "
               f"{1e3 * res.d_gamma_phi:6.1f} kHz")

@@ -23,7 +23,6 @@ from .dispersive import (
     DISPERSIVE_ETA_MAX,
     DispersiveResult,
     DressedLossRates,
-    chi_qubit,
     chi_transmon,
     dressed_losses,
     pump_to_lambda,

@@ -97,7 +97,8 @@ def resolve_config(command: str, raw: dict) -> dict:
     """Every SCHEMA[command] key, typed; a missing or null value takes the
     default.  Unknown keys, values of the wrong type (a JSON boolean, list
     entries included, is not a number), values breaking _bad_value's rule,
-    kappa <= 0 and n_fock < 4 raise ConfigError."""
+    kappa <= 0, a gains_db entry <= 0 (no pump reaches a gain G <= 1) and
+    n_fock < 4 raise ConfigError."""
     schema = SCHEMA[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -121,6 +122,9 @@ def resolve_config(command: str, raw: dict) -> dict:
             raise ConfigError(f"config key {key!r}: {problem}")
     if not cfg["kappa"] > 0.0:
         raise ConfigError(f"kappa must be positive, got {cfg['kappa']}")
+    if any(g_db <= 0.0 for g_db in cfg.get("gains_db", ())):
+        raise ConfigError(f"config key 'gains_db': every target gain must "
+                          f"be above 0 dB, got {cfg['gains_db']}")
     if cfg.get("n_fock") is not None and cfg["n_fock"] < 4:
         raise ConfigError(f"n_fock must be >= 4, got {cfg['n_fock']}")
     return cfg
@@ -201,8 +205,8 @@ def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
 
 
 def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
-    """Three levels: the closed forms (chi_transmon) and the oracle both
-    keep the straddling term of the second excited level."""
+    """Three levels, so chi_transmon and the oracle both keep the
+    straddling term of the second excited level."""
     delta_q = cfg["delta_q"]
     delta_q = delta_a + cfg["delta_q_offset"] if delta_q is None else delta_q
     try:
@@ -336,9 +340,7 @@ def cmd_qubit_response(cfg: dict, out: Path, args) -> None:
             flags = list(res.flags)
         else:
             chi_res = dispersive.chi_transmon(q, frame, kappa=p.kappa)
-            res = spectral.shift_undriven(
-                chi_res.chi, chi0.chi, frame, p.kappa, variant="transmon",
-                delta_q_2_r=chi_res.delta_q_2, delta_q_2_0=chi0.delta_q_2)
+            res = spectral.shift_undriven(chi_res, chi0, frame, p.kappa)
             flags = list(res.flags)
             if not chi_res.dispersive_valid:
                 flags.append("dispersive_invalid")
@@ -392,12 +394,7 @@ def cmd_chi_sweep(cfg: dict, out: Path, args) -> None:
         if frame is None:
             # resonant branch: shift per intracavity photon; flat by
             # construction of the photon-number normalization
-            chi_r = chi0.chi
-            d_omega = [spectral.resonant_driven_shift(p, chi_r, DriveSpec(
-                n_d=n_d, theta=math.pi / 4.0)).parts["drive"]
-                for n_d in np.linspace(0.1, 0.6, 6)]
-            n_cav = np.divide(d_omega, chi_r)
-            chi_fit = float(np.polyfit(n_cav, d_omega, 1)[0])
+            chi_r = chi_fit = chi0.chi
         else:
             chi_r = dispersive.chi_transmon(q, frame, kappa=p.kappa).chi
             chi_fit = _fit_chi_synthetic(chi_r, frame, p.kappa,
@@ -456,10 +453,8 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
     chi_res0 = dispersive.chi_transmon(q, BogoliubovFrame(
         r=0.0, s_db=0.0, omega_bog=delta_a), kappa=kappa)
     anom = spectral.anomalous_moment(p, frame)
-    ana = spectral.shift_undriven(
-        chi_res.chi, chi_res0.chi, frame, kappa, variant="transmon",
-        delta_q_2_r=chi_res.delta_q_2, delta_q_2_0=chi_res0.delta_q_2,
-        chi_anomalous=chi_res.chi_anomalous, anomalous=anom)
+    ana = spectral.shift_undriven(chi_res, chi_res0, frame, kappa,
+                                  anomalous=anom)
     orc = lindblad.qubit_shift_dephasing(p, q, cfg["n_fock"])
     chi_ed = lindblad.chi_exact(p, q, cfg["n_fock"])
     report = {

@@ -26,7 +26,7 @@ class DispersiveResult:
     eta : dispersive small parameter max(g e^r, kappa, gamma_1,
         gamma_phi)/min(|Delta|, |Sigma|)
     delta_q_2 : second-order qubit frequency renormalization, MHz
-        (transmon variant; equals chi/2-like Lamb term for the qubit)
+        (chi/2 for a two-level qubit)
     omega_a_2 : second-order oscillator frequency renormalization, MHz
     """
 
@@ -81,13 +81,30 @@ def _eta(g: float, frame: BogoliubovFrame, delta_big: float, sigma_big: float,
     return num / min(abs(delta_big), abs(sigma_big))
 
 
-def _dispersive(q: TransmonParams, frame: BogoliubovFrame, kappa: float,
-                delta_big: float, sigma_big: float,
-                straddle=(1.0, 1.0, 1.0, 1.0)) -> DispersiveResult:
-    """Shared body of chi_qubit and chi_transmon.  straddle holds the
-    transmon's chi_q/(chi_q + Delta), chi_q/(chi_q + Sigma), chi_q - Sigma
-    and chi_q + Sigma; the two-level qubit's unit factors are the default."""
-    f_delta, f_sigma, lamb_num, lamb_den = straddle
+def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
+                 kappa: float = 0.0) -> DispersiveResult:
+    """Dispersive strength of the qubit with q.n_levels levels, the model
+    the oracle solves.
+
+    Two levels:
+      chi = 2 g^2 cosh^2 r / Delta[r] + 2 g^2 sinh^2 r / Sigma[r],
+      delta_q^(2)[r] = chi/2.
+    Three or more keep the straddling term of the second excited level:
+      chi_t = (2g^2/Delta)(chi_q/(chi_q+Delta)) cosh^2 r
+            + (2g^2/Sigma)(chi_q/(chi_q+Sigma)) sinh^2 r.
+    Both give chi_a = g^2 sinh 2r delta_q / (delta_q^2 - Omega_a^2), 0 at
+    delta_q = 0, and the renormalizations delta_q^(2)[r], Omega_a^(2)[r].
+    """
+    delta_big, sigma_big = _detunings(q.delta_q, frame)
+    f_delta = f_sigma = lamb_num = lamb_den = 1.0
+    if q.n_levels > 2:
+        if q.chi_q + delta_big == 0.0:
+            raise ValueError("straddling resonance: chi_q + Delta[r] = 0")
+        if q.chi_q + sigma_big == 0.0:
+            raise ValueError("straddling resonance: chi_q + Sigma[r] = 0")
+        f_delta = q.chi_q / (q.chi_q + delta_big)
+        f_sigma = q.chi_q / (q.chi_q + sigma_big)
+        lamb_num, lamb_den = q.chi_q - sigma_big, q.chi_q + sigma_big
     g = q.g
     ch2, sh2 = frame.cosh2, frame.sinh2
     chi = (2.0 * g * g / delta_big * f_delta * ch2
@@ -102,36 +119,6 @@ def _dispersive(q: TransmonParams, frame: BogoliubovFrame, kappa: float,
     return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
                             chi_anomalous=chi_anom, eta=eta,
                             delta_q_2=delta_q_2, omega_a_2=omega_a_2)
-
-
-def chi_qubit(q: TransmonParams, frame: BogoliubovFrame,
-              kappa: float = 0.0) -> DispersiveResult:
-    """Two-level dispersive strength, the chi_q -> infinity limit of
-    chi_transmon.
-
-    chi = 2 g^2 cosh^2 r / Delta[r] + 2 g^2 sinh^2 r / Sigma[r],
-    chi_a = g^2 sinh 2r delta_q / (delta_q^2 - Omega_a^2), 0 at delta_q = 0.
-    """
-    return _dispersive(q, frame, kappa, *_detunings(q.delta_q, frame))
-
-
-def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
-                 kappa: float = 0.0) -> DispersiveResult:
-    """Transmon dispersive strength including the straddling correction.
-
-    chi_t = (2g^2/Delta)(chi_q/(chi_q+Delta)) cosh^2 r
-          + (2g^2/Sigma)(chi_q/(chi_q+Sigma)) sinh^2 r.
-    Also returns the second-order frequency renormalizations
-    delta_q^(2)[r] and Omega_a^(2)[r].
-    """
-    delta_big, sigma_big = _detunings(q.delta_q, frame)
-    if q.chi_q + delta_big == 0.0:
-        raise ValueError("straddling resonance: chi_q + Delta[r] = 0")
-    if q.chi_q + sigma_big == 0.0:
-        raise ValueError("straddling resonance: chi_q + Sigma[r] = 0")
-    return _dispersive(q, frame, kappa, delta_big, sigma_big, (
-        q.chi_q / (q.chi_q + delta_big), q.chi_q / (q.chi_q + sigma_big),
-        q.chi_q - sigma_big, q.chi_q + sigma_big))
 
 
 def dressed_losses(q: TransmonParams, frame: BogoliubovFrame,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BogoliubovFrame, DriveSpec, OscillatorParams
+from .dispersive import DispersiveResult
 
 # Below |2 Omega_a| = COALESCENCE_FACTOR * kappa/2 the first-order-in-eta
 # truncation degrades; results are flagged, not rejected.
@@ -90,31 +91,26 @@ def bo_occupation(frame: BogoliubovFrame, drive: DriveSpec,
     return drive.n_d * frame.cosh2 + frame.sinh2, flags
 
 
-def shift_undriven(chi_r: float, chi_0: float, frame: BogoliubovFrame,
-                   kappa: float, variant: str = "two_level",
-                   delta_q_2_r: float = 0.0, delta_q_2_0: float = 0.0,
-                   chi_anomalous: float = 0.0, anomalous: float = 0.0
-                   ) -> SpectralShift:
-    """Pump-induced qubit shift and dephasing at zero drive.
+def shift_undriven(res_r: DispersiveResult, res_0: DispersiveResult,
+                   frame: BogoliubovFrame, kappa: float,
+                   anomalous: float = 0.0) -> SpectralShift:
+    """Pump-induced qubit shift and dephasing at zero drive, from the
+    dispersive results at squeezing r (res_r) and at zero pump (res_0).
 
-    two_level: d_omega = chi[r] (1/2 + sinh^2 r) - chi[0]/2
-    transmon:  d_omega = delta_q2[r] + chi_t[r] sinh^2 r - delta_q2[0]
-    both:      d_gamma_phi = (chi[r]^2/kappa) sinh^2 r (1 + sinh^2 r)
+    d_omega = delta_q2[r] + chi[r] sinh^2 r - delta_q2[0]
+        (two levels, delta_q2 = chi/2: chi[r] (1/2 + sinh^2 r) - chi[0]/2)
+    d_gamma_phi = (chi[r]^2/kappa) sinh^2 r (1 + sinh^2 r)
 
-    When the anomalous coupling coefficient and the steady-state moment
-    <alpha^2 + alpha^dag^2> (see anomalous_moment) are supplied, their
-    product is added to d_omega; it matters at order kappa/Omega_a near
-    coalescence and is dropped (the default) in the deep-detuned limit.
+    When the steady-state moment <alpha^2 + alpha^dag^2> (see
+    anomalous_moment) is supplied, its product with res_r.chi_anomalous is
+    added to d_omega; it matters at order kappa/Omega_a near coalescence
+    and is dropped (the default) in the deep-detuned limit.
     """
     sh2 = frame.sinh2
-    if variant == "two_level":
-        lamb = 0.5 * chi_r - 0.5 * chi_0
-    elif variant == "transmon":
-        lamb = delta_q_2_r - delta_q_2_0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    chi_r = res_r.chi
+    lamb = res_r.delta_q_2 - res_0.delta_q_2
     thermal = chi_r * sh2
-    anom = chi_anomalous * anomalous
+    anom = res_r.chi_anomalous * anomalous
     d_omega = lamb + thermal + anom
     d_gamma = chi_r * chi_r / kappa * sh2 * (1.0 + sh2)
     flags = coalescence_flags(frame, kappa)

@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 from boqsim import (
+    DispersiveResult,
     DriveSpec,
     OscillatorParams,
     TransmonParams,
@@ -219,7 +220,12 @@ def test_criterion_08_dephasing_correlator_consistency():
         p = osc(delta_a, lam)
         frame = frame_of(p)
         drive = DriveSpec(n_d=n_d)
-        closed = (shift_undriven(chi, 0.0, frame, KAPPA).d_gamma_phi
+        # the dephasing reads chi[r] alone
+        res_r, res_0 = (DispersiveResult(chi=c, delta_big=math.nan,
+                                         sigma_big=math.nan,
+                                         chi_anomalous=0.0, eta=0.0)
+                        for c in (chi, 0.0))
+        closed = (shift_undriven(res_r, res_0, frame, KAPPA).d_gamma_phi
                   + shift_driven(chi, frame, drive, KAPPA).d_gamma_phi)
         quad = dephasing_from_correlation(chi, frame, drive, KAPPA)
         worst = max(worst, abs(quad - closed) / closed)

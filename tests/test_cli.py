@@ -427,6 +427,10 @@ class TestConfigSchema:
         # otherwise caught only inside brentq, least_squares or linspace
         ("gbw", "gains_db = nan", "gains_db"),
         ("chi_sweep", "snr_db = nan", "snr_db"),
+        # no pump reaches a peak gain G <= 1
+        ("gbw", "gains_db = 0", "gains_db"),
+        ("gbw", "gains_db = -3", "gains_db"),
+        ("gbw", "gains_db = 6,0", "gains_db"),
         ("gain_map", "probe_points = -3", "probe_points"),
         # otherwise run to NaN rows or a header-only CSV
         ("gain_map", "probe_span = nan", "probe_span"),
@@ -439,9 +443,11 @@ class TestConfigSchema:
         ("qubit_response", "delta_q = -inf", "delta_q"),
         ("qubit_response", "n_fock = 0", "n_fock"),
         ("oracle_compare", "lam_ratios = 0.2,nan", "lam_ratios"),
-    ], ids=["gains_db_nan", "snr_db_nan", "probe_points_negative",
-            "probe_span_nan", "probe_points_zero", "lam_points_zero",
-            "delta_a_list_empty", "delta_a_list_empty_json",
+    ], ids=["gains_db_nan", "snr_db_nan", "gains_db_zero",
+            "gains_db_negative", "gains_db_zero_entry",
+            "probe_points_negative", "probe_span_nan", "probe_points_zero",
+            "lam_points_zero", "delta_a_list_empty",
+            "delta_a_list_empty_json",
             "gains_db_inf_entry", "delta_q_inf", "n_fock_zero",
             "lam_ratios_nan_entry"])
     def test_non_finite_or_empty_value_is_config_error(

@@ -8,7 +8,6 @@ import pytest
 from boqsim import (
     OscillatorParams,
     TransmonParams,
-    chi_qubit,
     chi_transmon,
     dressed_losses,
     frame_of,
@@ -18,6 +17,7 @@ from boqsim.core import BogoliubovFrame
 
 Q = TransmonParams(delta_q=-80.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
                    gamma_phi=2.2, n_levels=3)
+Q2 = dataclasses.replace(Q, n_levels=2)
 FRAME0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=20.0)  # zero pump
 
 
@@ -29,13 +29,13 @@ def frame_at(delta_a: float, lam: float) -> BogoliubovFrame:
 class TestChiTwoLevel:
     def test_zero_pump_reduces_to_textbook_value(self):
         # chi = 2 g^2 / Delta with Delta = delta_q - delta_a = -100
-        res = chi_qubit(Q, FRAME0)
+        res = chi_transmon(Q2, FRAME0)
         assert res.chi == pytest.approx(2.0 * 4.9 ** 2 / (-100.0))
         assert res.chi_anomalous == 0.0
 
     def test_detunings(self):
         frame = frame_at(20.0, 17.0)
-        res = chi_qubit(Q, frame)
+        res = chi_transmon(Q2, frame)
         assert res.delta_big == pytest.approx(-80.0 - frame.omega_bog)
         assert res.sigma_big == pytest.approx(-80.0 + frame.omega_bog)
 
@@ -47,12 +47,18 @@ class TestChiTwoLevel:
         omega = 20.0 / math.cosh(2.0 * r)
         expect = (2.0 * 4.9 ** 2 * ch2 / (-80.0 - omega)
                   + 2.0 * 4.9 ** 2 * sh2 / (-80.0 + omega))
-        assert chi_qubit(Q, frame).chi == pytest.approx(expect, rel=1e-12)
+        assert chi_transmon(Q2, frame).chi == pytest.approx(expect, rel=1e-12)
 
     def test_resonant_detuning_rejected(self):
         bad = TransmonParams(delta_q=20.0, g=4.9)
         with pytest.raises(ValueError, match="Delta"):
-            chi_qubit(bad, FRAME0)
+            chi_transmon(bad, FRAME0)
+
+    def test_anharmonicity_is_ignored(self):
+        # two levels have no second excited level to straddle
+        frame = frame_at(20.0, 17.0)
+        assert chi_transmon(Q2, frame) == chi_transmon(
+            dataclasses.replace(Q2, chi_q=0.0), frame)
 
 
 class TestChiTransmon:
@@ -64,14 +70,15 @@ class TestChiTransmon:
 
     def test_reduces_to_two_level_for_large_anharmonicity(self):
         frame = frame_at(20.0, 17.0)
-        deep = TransmonParams(delta_q=-80.0, g=4.9, chi_q=-1e9)
+        deep = TransmonParams(delta_q=-80.0, g=4.9, chi_q=-1e9, n_levels=3)
         assert chi_transmon(deep, frame).chi == pytest.approx(
-            chi_qubit(deep, frame).chi, rel=1e-6)
+            chi_transmon(dataclasses.replace(deep, n_levels=2), frame).chi,
+            rel=1e-6)
 
     def test_straddling_resonance_rejected(self):
         # chi_q + Delta = 0 at delta_q = omega_bog + |chi_q|
         bad = TransmonParams(delta_q=FRAME0.omega_bog + 114.0, g=4.9,
-                             chi_q=-114.0)
+                             chi_q=-114.0, n_levels=3)
         with pytest.raises(ValueError, match="straddling"):
             chi_transmon(bad, FRAME0)
 

@@ -22,7 +22,6 @@ from boqsim import (
     anomalous_moment,
     build_liouvillian,
     chi_exact,
-    chi_qubit,
     chi_transmon,
     default_n_fock,
     frame_of,
@@ -170,11 +169,10 @@ class TestCoherenceEigenvalue:
         q = TransmonParams(delta_q=-80.0, g=4.9, gamma_1=5.0, gamma_phi=2.2,
                            n_levels=2)
         frame = frame_of(p)
-        chi_r = chi_qubit(q, frame, kappa=8.7)
+        chi_r = chi_transmon(q, frame, kappa=8.7)
         frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=20.0)
-        chi_0 = chi_qubit(q, frame0, kappa=8.7)
-        ana = shift_undriven(chi_r.chi, chi_0.chi, frame, 8.7,
-                             chi_anomalous=chi_r.chi_anomalous,
+        chi_0 = chi_transmon(q, frame0, kappa=8.7)
+        ana = shift_undriven(chi_r, chi_0, frame, 8.7,
                              anomalous=anomalous_moment(p, frame))
         orc = qubit_shift_dephasing(p, q)
         assert orc.d_omega_q == pytest.approx(ana.d_omega_q, rel=0.10)
@@ -206,11 +204,8 @@ class TestCoherenceEigenvalue:
                                     gamma_phi=s * Q_OP.gamma_phi)
             chi_r = chi_transmon(q, frame, kappa=p.kappa)
             chi_0 = chi_transmon(q, frame0, kappa=p.kappa)
-            ana = shift_undriven(
-                chi_r.chi, chi_0.chi, frame, p.kappa, variant="transmon",
-                delta_q_2_r=chi_r.delta_q_2, delta_q_2_0=chi_0.delta_q_2,
-                chi_anomalous=chi_r.chi_anomalous,
-                anomalous=anomalous_moment(p, frame))
+            ana = shift_undriven(chi_r, chi_0, frame, p.kappa,
+                                 anomalous=anomalous_moment(p, frame))
             orc = qubit_shift_dephasing(p, q)
             errors.append(abs(orc.d_omega_q / ana.d_omega_q - 1.0))
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
@@ -258,7 +253,7 @@ class TestChiExact:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=10.0)
         q = TransmonParams(delta_q=-80.0, g=4.9, n_levels=2)
         exact = chi_exact(p, q)
-        analytic = chi_qubit(q, frame_of(p)).chi
+        analytic = chi_transmon(q, frame_of(p)).chi
         assert exact == pytest.approx(analytic, rel=0.05)
 
     def test_error_is_second_order_in_g(self):

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from boqsim import (
+    DispersiveResult,
     DriveSpec,
     OscillatorParams,
+    TransmonParams,
     anomalous_moment,
     bo_occupation,
     build_liouvillian,
+    chi_transmon,
     dephasing_from_correlation,
     frame_of,
     number_correlation,
@@ -25,8 +28,19 @@ from boqsim import (
     steady_moments,
     steady_state,
 )
+from boqsim.core import BogoliubovFrame
 
 P_DETUNED = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=10.0)
+
+
+def dispersive_result(chi: float, delta_q_2: float | None = None,
+                      chi_anomalous: float = 0.0) -> DispersiveResult:
+    """A dispersive result holding only what shift_undriven reads; its
+    delta_q^(2) is the two-level chi/2 unless given."""
+    return DispersiveResult(
+        chi=chi, delta_big=math.nan, sigma_big=math.nan,
+        chi_anomalous=chi_anomalous, eta=0.0,
+        delta_q_2=0.5 * chi if delta_q_2 is None else delta_q_2)
 
 
 class TestSteadyMoments:
@@ -117,37 +131,42 @@ class TestBogoliubovMoments:
 class TestShifts:
     def test_undriven_parts_sum(self):
         frame = frame_of(P_DETUNED)
-        res = shift_undriven(-0.5, -0.25, frame, 8.7)
+        res = shift_undriven(dispersive_result(-0.5), dispersive_result(-0.25),
+                             frame, 8.7)
         assert sum(res.parts.values()) == pytest.approx(res.d_omega_q)
 
     def test_undriven_two_level_form(self):
+        # two levels: delta_q^(2) = chi/2, so the Lamb term is half the
+        # difference of the two chi
         frame = frame_of(P_DETUNED)
-        res = shift_undriven(-0.5, -0.25, frame, 8.7)
-        expect = -0.5 * (0.5 + frame.sinh2) - 0.5 * (-0.25)
-        assert res.d_omega_q == pytest.approx(expect)
+        frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=20.0)
+        q = TransmonParams(delta_q=-80.0, g=4.9, n_levels=2)
+        res_r, res_0 = (chi_transmon(q, fr, kappa=8.7)
+                        for fr in (frame, frame0))
+        res = shift_undriven(res_r, res_0, frame, 8.7)
+        expect = res_r.chi * (0.5 + frame.sinh2) - 0.5 * res_0.chi
+        assert res.d_omega_q == pytest.approx(expect, rel=1e-12)
         assert res.d_gamma_phi == pytest.approx(
-            0.25 / 8.7 * frame.sinh2 * (1.0 + frame.sinh2))
+            res_r.chi ** 2 / 8.7 * frame.sinh2 * (1.0 + frame.sinh2))
 
     def test_undriven_transmon_uses_renormalizations(self):
         frame = frame_of(P_DETUNED)
-        res = shift_undriven(-0.5, -0.25, frame, 8.7, variant="transmon",
-                             delta_q_2_r=-0.3, delta_q_2_0=-0.2)
+        res = shift_undriven(dispersive_result(-0.5, delta_q_2=-0.3),
+                             dispersive_result(-0.25, delta_q_2=-0.2),
+                             frame, 8.7)
         assert res.parts["lamb"] == pytest.approx(-0.1)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            shift_undriven(-0.5, -0.25, frame_of(P_DETUNED), 8.7,
-                           variant="other")
 
     def test_anomalous_term_added_when_supplied(self):
         frame = frame_of(P_DETUNED)
-        base = shift_undriven(-0.5, -0.25, frame, 8.7)
-        corr = shift_undriven(-0.5, -0.25, frame, 8.7, chi_anomalous=-0.4,
-                              anomalous=-0.2)
+        res_0 = dispersive_result(-0.25)
+        base = shift_undriven(dispersive_result(-0.5), res_0, frame, 8.7)
+        corr = shift_undriven(dispersive_result(-0.5, chi_anomalous=-0.4),
+                              res_0, frame, 8.7, anomalous=-0.2)
         assert corr.d_omega_q == pytest.approx(base.d_omega_q + 0.08)
 
     def test_strong_dispersive_flag(self):
-        res = shift_undriven(-2.0, -0.25, frame_of(P_DETUNED), 8.7)
+        res = shift_undriven(dispersive_result(-2.0), dispersive_result(-0.25),
+                             frame_of(P_DETUNED), 8.7)
         assert "strong_dispersive" in res.flags
 
     def test_driven_form(self):
@@ -210,7 +229,9 @@ class TestCorrelation:
         frame = frame_of(P_DETUNED)
         drive = DriveSpec(n_d=0.4)
         chi = -0.5
-        closed = (shift_undriven(chi, 0.0, frame, 8.7).d_gamma_phi
+        closed = (shift_undriven(dispersive_result(chi),
+                                 dispersive_result(0.0), frame,
+                                 8.7).d_gamma_phi
                   + shift_driven(chi, frame, drive, 8.7).d_gamma_phi)
         quad = dephasing_from_correlation(chi, frame, drive, 8.7)
         assert quad == pytest.approx(closed, rel=1e-9)
