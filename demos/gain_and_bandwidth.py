@@ -71,8 +71,14 @@ def main() -> None:
         p = OscillatorParams(freq_a=6940.0, kappa=KAPPA, delta_a=delta_a,
                              lam=lam)
         spec = signal_spectrum(p, np.linspace(-70, 70, 1401))
+        with np.errstate(divide="ignore"):
+            abs_db = 20.0 * np.log10(np.abs(spec.values))
         path = out / f"spectrum_{name}.csv"
-        spec.to_csv(path)
+        np.savetxt(path, np.column_stack([spec.freqs, spec.values.real,
+                                          spec.values.imag, abs_db,
+                                          np.angle(spec.values)]),
+                   fmt="%.12g", delimiter=",",
+                   header="freq_mhz,re,im,abs_db,phase_rad", comments="")
         print(f"  wrote {path}")
 
 

@@ -15,8 +15,6 @@ from .core import (
     frame_of,
     lambda_coalescence,
     lambda_critical,
-    load_params,
-    save_params,
     validate,
 )
 from .dispersive import (

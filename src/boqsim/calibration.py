@@ -8,7 +8,6 @@ Levenberg-Marquardt variant) on smooth low-dimensional models.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -40,16 +39,6 @@ class FitReport:
     def stderr(self, name: str) -> float:
         idx = list(self.params).index(name)
         return float(np.sqrt(self.covariance[idx, idx]))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "params": {k: float(v) for k, v in self.params.items()},
-            "covariance": np.asarray(self.covariance).tolist(),
-            "residual_rms": self.residual_rms,
-            "n_iter": self.n_iter,
-            "converged": self.converged,
-            "flags": list(self.flags),
-        }, indent=2)
 
 
 @dataclass(frozen=True)

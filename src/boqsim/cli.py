@@ -517,6 +517,8 @@ def _report(exc: Exception, kind: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         raw = {} if args.config is None else read_config(args.config)
         cfg = resolve_config(args.command, raw)
         out = Path(args.out)

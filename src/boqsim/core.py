@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -196,23 +196,7 @@ def frame_of(params: OscillatorParams) -> BogoliubovFrame:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat "name = value" text and JSON, keys match field names
-
-def params_from_dict(cls, data: dict):
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unknown keys for {cls.__name__}: {sorted(unknown)}")
-    return cls(**data)
-
-
-def dumps_flat(params) -> str:
-    """One `name = value` per line."""
-    lines = [f"# {type(params).__name__}"]
-    for key, val in asdict(params).items():
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
-
+# config files: flat "name = value" text or JSON; a repeated key is refused
 
 def parse_flat(text: str) -> dict:
     """Parse `name = value` lines; `#` starts a comment; values are numbers."""
@@ -224,6 +208,8 @@ def parse_flat(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'name = value'")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
             num = float(val)
         except ValueError:
@@ -233,24 +219,18 @@ def parse_flat(text: str) -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    out: dict = {}
+    for key, val in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = val
+    return out
+
+
 def read_config(path: str | Path) -> dict:
     """Read a flat-text or JSON file (JSON when it starts with '{')."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     return parse_flat(text)
-
-
-def load_params(cls, path: str | Path):
-    """Load a parameter dataclass from a flat-text or JSON file."""
-    return params_from_dict(cls, read_config(path))
-
-
-def save_params(params, path: str | Path, fmt: str = "flat") -> None:
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(asdict(params), indent=2) + "\n")
-    elif fmt == "flat":
-        path.write_text(dumps_flat(params))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

@@ -27,7 +27,6 @@ class DispersiveResult:
         gamma_phi)/min(|Delta|, |Sigma|)
     delta_q_2 : second-order qubit frequency renormalization, MHz
         (chi/2 for a two-level qubit)
-    omega_a_2 : second-order oscillator frequency renormalization, MHz
     """
 
     chi: float
@@ -36,7 +35,6 @@ class DispersiveResult:
     chi_anomalous: float
     eta: float
     delta_q_2: float = 0.0
-    omega_a_2: float = 0.0
 
     @property
     def dispersive_valid(self) -> bool:
@@ -93,7 +91,7 @@ def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
       chi_t = (2g^2/Delta)(chi_q/(chi_q+Delta)) cosh^2 r
             + (2g^2/Sigma)(chi_q/(chi_q+Sigma)) sinh^2 r.
     Both give chi_a = g^2 sinh 2r delta_q / (delta_q^2 - Omega_a^2), 0 at
-    delta_q = 0, and the renormalizations delta_q^(2)[r], Omega_a^(2)[r].
+    delta_q = 0, and the qubit renormalization delta_q^(2)[r].
     """
     delta_big, sigma_big = _detunings(q.delta_q, frame)
     f_delta = f_sigma = lamb_num = lamb_den = 1.0
@@ -111,14 +109,13 @@ def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
            + 2.0 * g * g / sigma_big * f_sigma * sh2)
     delta_q_2 = (g * g * ch2 / delta_big
                  + g * g * sh2 / sigma_big * lamb_num / lamb_den)
-    omega_a_2 = -g * g * ch2 / delta_big - g * g * sh2 / sigma_big
     sinh_2r = math.sinh(2.0 * frame.r)
     chi_anom = g * g * sinh_2r * q.delta_q / (
         q.delta_q ** 2 - frame.omega_bog ** 2)
     eta = _eta(g, frame, delta_big, sigma_big, kappa, q.gamma_1, q.gamma_phi)
     return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
                             chi_anomalous=chi_anom, eta=eta,
-                            delta_q_2=delta_q_2, omega_a_2=omega_a_2)
+                            delta_q_2=delta_q_2)
 
 
 def dressed_losses(q: TransmonParams, frame: BogoliubovFrame,

@@ -8,10 +8,8 @@ All probe frequencies `omega` are detunings from half the pump frequency
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy
@@ -37,35 +35,6 @@ class ComplexSpectrum:
             raise ValueError("freqs must be strictly increasing")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "values", values)
-
-    def to_csv(self, path: str | Path | None = None) -> str | None:
-        """Serialize as CSV with columns freq_mhz, re, im, abs_db, phase_rad."""
-        buf = io.StringIO()
-        buf.write("freq_mhz,re,im,abs_db,phase_rad\n")
-        absval = np.abs(self.values)
-        with np.errstate(divide="ignore"):
-            abs_db = 20.0 * np.log10(absval)
-        phase = np.angle(self.values)
-        for f, v, adb, ph in zip(self.freqs, self.values, abs_db, phase):
-            buf.write(f"{f:.12g},{v.real:.12g},{v.imag:.12g},"
-                      f"{adb:.12g},{ph:.12g}\n")
-        text = buf.getvalue()
-        if path is None:
-            return text
-        Path(path).write_text(text)
-        return None
-
-    @classmethod
-    def from_csv(cls, path: str | Path, kind: str = "signal"
-                 ) -> "ComplexSpectrum":
-        rows = Path(path).read_text().strip().splitlines()
-        header = rows[0].split(",")
-        if header[:3] != ["freq_mhz", "re", "im"]:
-            raise ValueError("unexpected CSV header for spectrum")
-        data = np.array([[float(x) for x in row.split(",")[:3]]
-                         for row in rows[1:]])
-        return cls(freqs=data[:, 0], values=data[:, 1] + 1j * data[:, 2],
-                   kind=kind)
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,6 @@ class CorrelationCurve:
     values: np.ndarray
     regime: str  # squeezed_vacuum | thermal | driven
 
-    def to_csv(self) -> str:
-        lines = ["tau,value"]
-        for t, v in zip(self.taus, self.values):
-            lines.append(f"{t:.12g},{v:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Moments:

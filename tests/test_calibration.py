@@ -1,7 +1,6 @@
 """Fit round-trips: every fitter is fed data synthesized from the forward
 models (optionally with noise) and must recover the generating parameters."""
 
-import json
 import math
 
 import numpy as np
@@ -188,10 +187,3 @@ class TestNoiseAndReports:
         snr = (np.sqrt(np.mean(np.abs(spec.values) ** 2))
                / np.sqrt(np.mean(np.abs(resid) ** 2)))
         assert 20.0 * math.log10(snr) == pytest.approx(20.0, abs=0.2)
-
-    def test_report_json_round_trip(self):
-        rep = fit_lambda(synth_spectrum(30.0, 25.0), KAPPA, 30.0)
-        payload = json.loads(rep.to_json())
-        assert payload["params"]["lam"] == pytest.approx(25.0, rel=1e-3)
-        assert payload["converged"] is True
-        assert len(payload["covariance"]) == 1

@@ -1,5 +1,6 @@
 """Command-line front end: file contracts, determinism, exit codes."""
 
+import ast
 import csv
 import json
 import math
@@ -378,6 +379,34 @@ class TestContracts:
                               check=True)
         assert done.stdout.strip() == "False"
 
+    def test_only_cli_writes(self):
+        # one writer for tables and one for JSON, both in cli: no other
+        # module opens, writes or serializes to a file or string
+        writers = {"write_text", "write_bytes", "open", "fdopen", "dump",
+                   "dumps", "savetxt"}
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in writers and path.name != "cli.py":
+                    found.append(f"{path.name}:{node.lineno} {name}")
+        assert found == []
+
+    @pytest.mark.parametrize("command", sorted(cli.SCHEMA))
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        # refused as config before any command starts, not by numpy mid-run
+        def ran(*_args):
+            raise AssertionError(f"{command} ran with --seed -1")
+        with mock.patch.dict(cli.COMMANDS, {command: ran}):
+            code, out = run(tmp_path, command, "--seed", "-1")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config" and "--seed" in err["error"]
+        assert not out.exists()
+
 
 FAST_CONFIGS = {
     "gain_map": FAST_GAIN_MAP,
@@ -470,6 +499,20 @@ class TestConfigSchema:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config" and repr(key) in err["error"]
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("config,where", [
+        ("gains_db = 3\ngains_db = 6\n", "line 2: "),
+        ('{"gains_db": 3, "gains_db": 6}', ""),
+    ], ids=["flat", "json"])
+    def test_duplicate_key_is_config_error(self, tmp_path, capsys, config,
+                                           where):
+        # otherwise the last value wins without a word
+        code, out = run(tmp_path, "gbw", config=config)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config"
+        assert f"{where}duplicate key 'gains_db'" in err["error"]
         assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", sorted(cli.SCHEMA))

@@ -477,14 +477,6 @@ class TestFitBandwidth:
 
 
 class TestSpectrumSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        spec = signal_spectrum(P_DETUNED, np.linspace(-50, 50, 64))
-        path = tmp_path / "spec.csv"
-        spec.to_csv(path)
-        back = ComplexSpectrum.from_csv(path)
-        assert np.allclose(back.freqs, spec.freqs)
-        assert np.allclose(back.values, spec.values, rtol=1e-10)
-
     def test_requires_increasing_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             ComplexSpectrum(freqs=np.array([1.0, 0.5]),

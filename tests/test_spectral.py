@@ -218,13 +218,6 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="frame"):
             number_correlation(None, DriveSpec(), 8.7, 0.0, [0.0])
 
-    def test_csv_export(self):
-        curve = number_correlation(None, DriveSpec(), 8.7, 0.5, [0.0, 1.0],
-                                   regime="thermal")
-        lines = curve.to_csv().strip().splitlines()
-        assert lines[0] == "tau,value"
-        assert len(lines) == 3
-
     def test_quadrature_reproduces_closed_form_dephasing(self):
         frame = frame_of(P_DETUNED)
         drive = DriveSpec(n_d=0.4)
