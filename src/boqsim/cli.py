@@ -52,12 +52,14 @@ def _int(raw) -> int:
     return int(float(raw))
 
 
-_OSCILLATOR = {"kappa": (float, 8.7), "freq_a": (float, 6940.0)}
+_OSCILLATOR = {"kappa": (float, 8.7)}
 _QUBIT = {**_OSCILLATOR, "delta_q": (float, None),
           "delta_q_offset": (float, -100.0), "g": (float, 4.9),
-          "chi_q": (float, -114.0), "gamma_1": (float, 5.0),
-          "gamma_phi": (float, 2.2),
+          "chi_q": (float, -114.0),
           "n_fock": (_int, None)}  # None: lindblad.default_n_fock per point
+# the qubit's decay rates; chi_sweep takes none, as no column it writes
+# depends on them
+_RATES = {"gamma_1": (float, 5.0), "gamma_phi": (float, 2.2)}
 
 # the config keys each command reads: name -> (type, default); a None
 # default means absent or computed from other values
@@ -68,12 +70,12 @@ SCHEMA = {
                  "lam_points": (_int, 25), "lam_max_factor": (float, 0.98)},
     "gbw": {**_OSCILLATOR, "delta_a_list": (_floats, (0.0, 30.0)),
             "gains_db": (_floats, (3.0, 6.0, 9.0, 12.0))},
-    "qubit_response": {**_QUBIT, "lam_points": (_int, 21),
+    "qubit_response": {**_QUBIT, **_RATES, "lam_points": (_int, 21),
                        "delta_a_list": (_floats, (0.0, 20.0, -20.0, 30.0,
                                                   -30.0, 40.0, -40.0))},
     "chi_sweep": {**_QUBIT, "delta_a_list": (_floats, (0.0, 20.0)),
                   "lam_points": (_int, 13), "snr_db": (float, None)},
-    "oracle_compare": {**_QUBIT, "delta_a": (float, 20.0),
+    "oracle_compare": {**_QUBIT, **_RATES, "delta_a": (float, 20.0),
                        "lam": (float, 17.0), "lam_ratios": (
                            _floats, tuple(k / 10 for k in range(1, 10)))},
 }
@@ -198,7 +200,7 @@ def write_csv(path: Path, meta: dict, header: list[str], rows,
 
 def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
     try:
-        return OscillatorParams(freq_a=cfg["freq_a"], kappa=cfg["kappa"],
+        return OscillatorParams(freq_a=0.0, kappa=cfg["kappa"],
                                 delta_a=delta_a, lam=lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -211,8 +213,8 @@ def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
     delta_q = delta_a + cfg["delta_q_offset"] if delta_q is None else delta_q
     try:
         return TransmonParams(delta_q=delta_q, g=cfg["g"], chi_q=cfg["chi_q"],
-                              gamma_1=cfg["gamma_1"],
-                              gamma_phi=cfg["gamma_phi"],
+                              gamma_1=cfg.get("gamma_1", 0.0),
+                              gamma_phi=cfg.get("gamma_phi", 0.0),
                               n_levels=3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -220,13 +222,13 @@ def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
 
 def _lam_cap_detuned(delta_a: float, kappa: float) -> float:
     """Largest pump amplitude kept in qubit-facing sweeps: the S_DB_CAP
-    squeezing amplitude, also below coalescence and the critical line."""
+    squeezing amplitude, also below coalescence, so below the critical line."""
     r_cap = S_DB_CAP * math.log(10.0) / 20.0
     lam = abs(delta_a) * math.tanh(2.0 * r_cap)
     l_co = lambda_coalescence(kappa, delta_a)
     if l_co is not None:
         lam = min(lam, 0.99 * l_co)
-    return min(lam, 0.99 * lambda_critical(kappa, delta_a))
+    return lam
 
 
 def _lam_cap_resonant(kappa: float) -> float:

@@ -113,20 +113,18 @@ class TransmonParams:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Coherent drive on the oscillator.
+    """Coherent drive on the oscillator at nu_p/2, the frame's frequency.
 
     n_d : mean injected photon number with the pump off, |eps_d|^2/kappa^2
-    detuning_d : drive detuning from the rotating frame (nu_p/2) in MHz
     theta : drive phase in radians; theta = 0 puts the in-phase component
         along the squeezed quadrature (resonant-pump convention)
     """
 
     n_d: float = 0.0
-    detuning_d: float = 0.0
     theta: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "n_d", "detuning_d", "theta")
+        _require_finite(self, "n_d", "theta")
         _require(self.n_d >= 0, "n_d must be non-negative")
 
 
@@ -163,7 +161,6 @@ def lambda_critical(kappa: float, delta_a: float) -> float:
 
 def validate(params: OscillatorParams) -> StabilityReport:
     """Classify a parameter set as stable/unstable with threshold distances."""
-    _require(params.kappa > 0, "kappa must be positive")
     l_crit = lambda_critical(params.kappa, params.delta_a)
     l_co = lambda_coalescence(params.kappa, params.delta_a)
     stable = params.lam < l_crit

@@ -1,6 +1,6 @@
-"""Qubit spectral observables under squeezed photons: occupation, number
-correlation functions, Lamb/AC-Stark shifts and induced dephasing, for the
-detuned (Bogoliubov) regime and the resonant-pump regime.
+"""Qubit spectral observables under squeezed photons: occupation, the
+squeezed-vacuum number correlation, Lamb/AC-Stark shifts and induced
+dephasing, for the detuned (Bogoliubov) regime and the resonant-pump regime.
 
 Rates in MHz; correlation lags in the matching 1/MHz time unit, so a rate
 kappa decays as exp(-kappa * tau).
@@ -25,8 +25,9 @@ COALESCENCE_FACTOR = 5.0
 class SpectralShift:
     """Qubit frequency shift and induced dephasing, referenced to pump off.
 
-    parts breaks the frequency shift down into {lamb, stark, thermal, drive}
-    contributions (MHz); they sum to d_omega_q.
+    parts breaks the frequency shift down into {lamb, thermal, drive}
+    contributions (MHz), with shift_undriven's anomalous term; they sum to
+    d_omega_q.
     """
 
     d_omega_q: float
@@ -41,7 +42,6 @@ class CorrelationCurve:
 
     taus: np.ndarray
     values: np.ndarray
-    regime: str  # squeezed_vacuum | thermal | driven
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,14 @@ def coalescence_flags(frame: BogoliubovFrame, kappa: float) -> tuple[str, ...]:
     return ()
 
 
-def bo_occupation(frame: BogoliubovFrame, drive: DriveSpec,
-                  kappa: float | None = None) -> tuple[float, tuple[str, ...]]:
+def bo_occupation(frame: BogoliubovFrame, drive: DriveSpec) -> float:
     """Mean occupation n_alpha = n_d cosh^2 r + sinh^2 r.
 
     The first-order-in-eta anomalous correction time-averages out of the
-    spectroscopic observables and is not added here; proximity to
-    coalescence is reported as a flag instead.
+    spectroscopic observables and is not added here; coalescence_flags
+    reports the proximity to coalescence where it matters.
     """
-    flags: tuple[str, ...] = ()
-    if kappa is not None:
-        flags = coalescence_flags(frame, kappa)
-    return drive.n_d * frame.cosh2 + frame.sinh2, flags
+    return drive.n_d * frame.cosh2 + frame.sinh2
 
 
 def shift_undriven(res_r: DispersiveResult, res_0: DispersiveResult,
@@ -110,7 +106,7 @@ def shift_undriven(res_r: DispersiveResult, res_0: DispersiveResult,
     flags = coalescence_flags(frame, kappa)
     if abs(chi_r) > kappa / 10.0:
         flags = flags + ("strong_dispersive",)
-    parts = {"lamb": lamb, "stark": 0.0, "thermal": thermal, "drive": 0.0,
+    parts = {"lamb": lamb, "thermal": thermal, "drive": 0.0,
              "anomalous": anom}
     return SpectralShift(d_omega_q=d_omega, d_gamma_phi=d_gamma, parts=parts,
                          flags=flags)
@@ -126,7 +122,7 @@ def shift_driven(chi_r: float, frame: BogoliubovFrame, drive: DriveSpec,
     nd_eff = drive.n_d * frame.cosh2
     d_omega = chi_r * nd_eff
     d_gamma = 2.0 * chi_r * chi_r / kappa * (1.0 + 2.0 * frame.sinh2) * nd_eff
-    parts = {"lamb": 0.0, "stark": 0.0, "thermal": 0.0, "drive": d_omega}
+    parts = {"lamb": 0.0, "thermal": 0.0, "drive": d_omega}
     return SpectralShift(d_omega_q=d_omega, d_gamma_phi=d_gamma, parts=parts,
                          flags=coalescence_flags(frame, kappa))
 
@@ -139,7 +135,7 @@ def steady_moments(p: OscillatorParams) -> tuple[float, complex]:
     <a^2> = i lam (2n + 1) / (kappa + 2 i delta_a).
     """
     den = p.kappa ** 2 / 4.0 + p.delta_a ** 2 - p.lam ** 2
-    if den <= 0.0 or p.lam ** 2 >= p.delta_a ** 2 + p.kappa ** 2 / 4.0:
+    if den <= 0.0:
         raise ValueError("unstable: lam >= lambda_crit")
     n = 0.5 * p.lam * p.lam / den
     a_sq = 1j * p.lam * (2.0 * n + 1.0) / (p.kappa + 2j * p.delta_a)
@@ -204,36 +200,26 @@ def resonant_driven_shift(p: OscillatorParams, chi_0: float,
                    / den ** 2 * drive.n_d * chi_0)
     n_mean = 0.5 * p.lam * p.lam / den
     d_gamma = chi_0 * chi_0 / p.kappa * n_mean * (1.0 + n_mean)
-    parts = {"lamb": lamb, "stark": 0.0, "thermal": 0.0, "drive": drive_shift}
+    parts = {"lamb": lamb, "thermal": 0.0, "drive": drive_shift}
     return SpectralShift(d_omega_q=lamb + drive_shift, d_gamma_phi=d_gamma,
                          parts=parts)
 
 
-def number_correlation(frame: BogoliubovFrame | None, drive: DriveSpec,
-                       kappa: float, n_th: float, taus,
-                       regime: str = "squeezed_vacuum") -> CorrelationCurve:
-    """Number-operator correlation of the (possibly driven) oscillator.
+def number_correlation(frame: BogoliubovFrame, drive: DriveSpec,
+                       kappa: float, taus) -> CorrelationCurve:
+    """Number-operator correlation of the (possibly driven) oscillator in
+    the squeezed vacuum:
 
-    squeezed_vacuum: C = sinh^2 r (1 + sinh^2 r) e^{-kappa|tau|}
-                         + n_d cosh^2 r (1 + 2 sinh^2 r) e^{-kappa|tau|/2}
-    thermal:         C = n_th (1 + n_th) e^{-kappa|tau|}
-                         + n_d (1 + 2 n_th) e^{-kappa|tau|/2}
+    C = sinh^2 r (1 + sinh^2 r) e^{-kappa|tau|}
+        + n_d cosh^2 r (1 + 2 sinh^2 r) e^{-kappa|tau|/2}
     """
     taus = np.asarray(taus, dtype=float)
     at = np.abs(taus)
-    if regime == "squeezed_vacuum":
-        if frame is None:
-            raise ValueError("squeezed_vacuum regime requires a frame")
-        sh2, ch2 = frame.sinh2, frame.cosh2
-        vals = (sh2 * (1.0 + sh2) * np.exp(-kappa * at)
-                + drive.n_d * ch2 * (1.0 + 2.0 * sh2)
-                * np.exp(-kappa * at / 2.0))
-    elif regime == "thermal":
-        vals = (n_th * (1.0 + n_th) * np.exp(-kappa * at)
-                + drive.n_d * (1.0 + 2.0 * n_th) * np.exp(-kappa * at / 2.0))
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return CorrelationCurve(taus=taus, values=vals, regime=regime)
+    sh2, ch2 = frame.sinh2, frame.cosh2
+    vals = (sh2 * (1.0 + sh2) * np.exp(-kappa * at)
+            + drive.n_d * ch2 * (1.0 + 2.0 * sh2)
+            * np.exp(-kappa * at / 2.0))
+    return CorrelationCurve(taus=taus, values=vals)
 
 
 def dephasing_from_correlation(chi: float, frame: BogoliubovFrame,
@@ -251,7 +237,7 @@ def dephasing_from_correlation(chi: float, frame: BogoliubovFrame,
         tau_max = 60.0 / kappa
 
     def c_of_tau(t):
-        return number_correlation(frame, drive, kappa, 0.0, [t]).values[0]
+        return number_correlation(frame, drive, kappa, [t]).values[0]
 
     val, _ = quad(c_of_tau, 0.0, tau_max, limit=400, epsabs=0.0,
                   epsrel=1e-12)

@@ -329,7 +329,7 @@ class TestContracts:
         assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
     @pytest.mark.parametrize("line", ["g = nan", "chi_q = inf",
-                                      "freq_a = nan"])
+                                      "gamma_1 = nan"])
     def test_non_finite_parameter_is_config_error(self, tmp_path, capsys,
                                                   line):
         code, _ = run(tmp_path, "qubit_response",
@@ -395,6 +395,49 @@ class TestContracts:
                     found.append(f"{path.name}:{node.lineno} {name}")
         assert found == []
 
+    # one value per key, unlike both its default and its FAST_CONFIGS value
+    PERTURBED = {"kappa": 6.0, "delta_a_list": "0,25", "probe_span": 50.0,
+                 "probe_points": 31, "lam_points": 5, "lam_max_factor": 0.9,
+                 "gains_db": 7.0, "delta_q": -70.0, "delta_q_offset": -90.0,
+                 "g": 4.0, "chi_q": -100.0, "gamma_1": 3.0, "gamma_phi": 1.0,
+                 "n_fock": 16, "snr_db": 30.0, "delta_a": 25.0, "lam": 15.0,
+                 "lam_ratios": 0.4}
+
+    @pytest.mark.parametrize("command", sorted(cli.SCHEMA))
+    def test_every_key_changes_an_output(self, tmp_path, command):
+        # a key that reaches only the '#' lines, or the JSON report's echo
+        # of its inputs, is a setting no result depends on
+        def results(out):
+            found = {}
+            for path in sorted(out.iterdir()):
+                text = path.read_text()
+                if path.suffix == ".json":
+                    report = json.loads(text)
+                    del report["dispersive"]["params"]
+                    text = json.dumps(report)
+                found[path.name] = [line for line in text.splitlines()
+                                    if not line.startswith("#")]
+            return found
+
+        extra = (["--oracle"] if command in ("qubit_response", "chi_sweep")
+                 else [])
+        base = parse_flat(FAST_CONFIGS[command])
+        if extra:
+            base["n_fock"] = 12
+        code, out = run(tmp_path / "base", command, *extra,
+                        config=json.dumps(base))
+        assert code == 0
+        want = results(out)
+        unchanged = []
+        for key in cli.SCHEMA[command]:
+            cfg = {**base, key: self.PERTURBED[key]}
+            code, out = run(tmp_path / key, command, *extra,
+                            config=json.dumps(cfg))
+            assert code == 0, key
+            if results(out) == want:
+                unchanged.append(key)
+        assert unchanged == []
+
     @pytest.mark.parametrize("command", sorted(cli.SCHEMA))
     def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
         # refused as config before any command starts, not by numpy mid-run
@@ -422,11 +465,12 @@ class TestConfigSchema:
     def test_misspelled_keys_are_config_errors(self, tmp_path, capsys,
                                                command):
         code, _ = run(tmp_path, command,
-                      config="kapa = 5\ndelta_a_lst = 10\n")
+                      config="kapa = 5\ndelta_a_lst = 10\nfreq_a = 6940\n")
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config"
-        assert "kapa" in err["error"] and "delta_a_lst" in err["error"]
+        assert all(key in err["error"]
+                   for key in ("kapa", "delta_a_lst", "freq_a"))
 
     def test_n_levels_is_not_a_key(self, tmp_path, capsys):
         # the qubit commands model three levels; the level count is not

@@ -64,11 +64,16 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TransmonParams(**kwargs)
 
-    @pytest.mark.parametrize("field", ["n_d", "detuning_d", "theta"])
+    @pytest.mark.parametrize("field", ["n_d", "theta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_drive_fields_must_be_finite(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             DriveSpec(**{field: bad})
+
+    def test_drive_has_no_detuning(self):
+        # every closed form and the oracle put the drive at nu_p/2
+        with pytest.raises(TypeError):
+            DriveSpec(n_d=0.5, detuning_d=1.0)
 
 
 class TestStabilityThresholds:

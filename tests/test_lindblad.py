@@ -130,12 +130,6 @@ class TestSteadyState:
                            check_convergence=False)
         assert res.n_mean == pytest.approx(0.7, rel=1e-9)
 
-    def test_detuned_drive_rejected(self):
-        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=0.0)
-        with pytest.raises(ValueError, match="detuning_d"):
-            build_liouvillian(p, drive=DriveSpec(n_d=0.5, detuning_d=1.0),
-                              n_fock=16)
-
     def test_truncation_error_when_occupation_too_high(self):
         hot = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                                lam=0.98 * 8.7 / 2.0)

@@ -29,6 +29,7 @@ from boqsim import (
     steady_state,
 )
 from boqsim.core import BogoliubovFrame
+from boqsim.spectral import coalescence_flags
 
 P_DETUNED = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=10.0)
 
@@ -94,13 +95,12 @@ class TestResonantSteadyState:
 class TestBogoliubovMoments:
     def test_occupation_formula(self):
         frame = frame_of(P_DETUNED)
-        occ, _ = bo_occupation(frame, DriveSpec(n_d=0.4))
+        occ = bo_occupation(frame, DriveSpec(n_d=0.4))
         assert occ == pytest.approx(0.4 * frame.cosh2 + frame.sinh2)
 
     def test_occupation_flags_near_coalescence(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=19.5)
-        _, flags = bo_occupation(frame_of(p), DriveSpec(), kappa=8.7)
-        assert "near_coalescence" in flags
+        assert "near_coalescence" in coalescence_flags(frame_of(p), 8.7)
 
     def test_oracle_bogoliubov_occupation_is_sinh_squared(self):
         # dissipation in the bare basis leaves <alpha^dag alpha> = sinh^2 r
@@ -201,22 +201,10 @@ class TestResonantDrivenShift:
 class TestCorrelation:
     def test_zero_lag_squeezed_vacuum(self):
         frame = frame_of(P_DETUNED)
-        curve = number_correlation(frame, DriveSpec(n_d=0.3), 8.7, 0.0,
-                                   [0.0])
+        curve = number_correlation(frame, DriveSpec(n_d=0.3), 8.7, [0.0])
         sh2, ch2 = frame.sinh2, frame.cosh2
         assert curve.values[0] == pytest.approx(
             sh2 * (1.0 + sh2) + 0.3 * ch2 * (1.0 + 2.0 * sh2))
-
-    def test_thermal_regime(self):
-        curve = number_correlation(None, DriveSpec(), 8.7, 0.5, [0.0, 0.1],
-                                   regime="thermal")
-        assert curve.values[0] == pytest.approx(0.5 * 1.5)
-        assert curve.values[1] == pytest.approx(
-            0.5 * 1.5 * math.exp(-8.7 * 0.1))
-
-    def test_squeezed_vacuum_needs_frame(self):
-        with pytest.raises(ValueError, match="frame"):
-            number_correlation(None, DriveSpec(), 8.7, 0.0, [0.0])
 
     def test_quadrature_reproduces_closed_form_dephasing(self):
         frame = frame_of(P_DETUNED)
