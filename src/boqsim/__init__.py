@@ -48,6 +48,7 @@ from .spectral import (
     SpectralShift,
     anomalous_moment,
     bo_occupation,
+    bogoliubov_moments,
     dephasing_from_correlation,
     number_correlation,
     resonant_driven_shift,

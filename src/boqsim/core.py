@@ -153,9 +153,8 @@ def lambda_coalescence(kappa: float, delta_a: float) -> float | None:
 
 
 def lambda_critical(kappa: float, delta_a: float) -> float:
-    """Pump amplitude where the reflection gain diverges."""
-    if delta_a == 0.0:
-        return kappa / 2.0
+    """Pump amplitude where the reflection gain diverges (kappa/2 at
+    delta_a = 0)."""
     return math.sqrt(delta_a ** 2 + kappa ** 2 / 4.0)
 
 

@@ -35,12 +35,16 @@ is certified: its eigenpair must have ||B v - mu v|| / ||v|| <=
 residuals below 1e-16 ||B||_1 and match a machine-precision run to 2e-16
 relative.
 Truncation: every entry point takes n_fock, the Fock truncation, with None
-meaning default_n_fock(p, drive).  build_liouvillian, chi_exact and
-qubit_shift_dephasing (at lam = 0 too) refuse, with TruncationError and
-before any allocation, n_fock < 4, a truncation whose estimated occupation
-exceeds n_fock/4, or one with more than _MAX_UNKNOWNS unknowns.  A stable
-detuned pump with lam >= |delta_a| has no estimate and is refused the same
-way; past lambda_crit the refusal is UnstableDynamics.
+meaning default_n_fock(p, drive).  One function, _sizing, reads the pump's
+regime and gives both the estimated occupation (n_d cosh^2 r + sinh^2 r
+detuned, the closed-form n + n_d on resonance) and default_n_fock =
+max(16, ceil(12 A + 10 n + 10)), A the anti-squeezing e^{2r} or S_inf.
+build_liouvillian, chi_exact and qubit_shift_dephasing (at lam = 0 too)
+refuse, with TruncationError and before any allocation, n_fock < 4, a
+truncation whose estimated occupation exceeds n_fock/4, or one with more
+than _MAX_UNKNOWNS unknowns.  A stable detuned pump with lam >= |delta_a|
+has no estimate and is refused the same way; past lambda_crit the refusal
+is UnstableDynamics.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -106,53 +110,49 @@ class AmbiguousSector(RuntimeError):
     """Two Liouvillian eigenvalues overlap the target sector comparably."""
 
 
-def estimate_occupation(p: OscillatorParams, drive: DriveSpec | None) -> float:
-    """Rough steady-state photon number used to size the Fock truncation."""
+def _sizing(p: OscillatorParams, drive: DriveSpec | None) -> tuple[float, int]:
+    """(estimated occupation, default truncation) of the pumped oscillator.
+
+    The occupation is n_d cosh^2 r + sinh^2 r when detuned and n + n_d on
+    resonance.  Squeezed states decay slowly in the number basis, so the
+    truncation also tracks the anti-squeezed quadrature variance
+    (proportional to e^{2r}, or to S_inf on resonance).  A pump past
+    lambda_crit raises UnstableDynamics; a stable one with lam >= |delta_a|
+    has no squeezing frame to size by and raises TruncationError.
+    """
     drive = DriveSpec() if drive is None else drive
     if p.lam < abs(p.delta_a):  # never at delta_a = 0, as lam >= 0
-        return bo_occupation(frame_of(p), drive)
-    if p.delta_a == 0.0 and p.lam < p.kappa / 2.0:
-        return resonant_steady_state(p).n_mean + drive.n_d
-    return float("inf")
-
-
-def _unsized(p: OscillatorParams) -> Exception:
-    """Why estimate_occupation is infinite: the dynamics are unstable, or a
-    stable pump has lam >= |delta_a|, with no squeezing frame to size the
-    truncation by."""
-    rep = validate(p)
-    if not rep.stable:
-        return UnstableDynamics(
-            f"lam = {p.lam} >= lambda_crit = {rep.lambda_crit}")
-    return TruncationError(
-        f"cannot size the truncation for lam = {p.lam} >= |delta_a| = "
-        f"{abs(p.delta_a)}")
+        frame = frame_of(p)
+        occ, anti = bo_occupation(frame, drive), math.exp(2.0 * frame.r)
+    elif p.delta_a == 0.0 and p.lam < p.kappa / 2.0:
+        mom = resonant_steady_state(p)
+        occ, anti = mom.n_mean + drive.n_d, mom.s_inf
+    else:
+        rep = validate(p)
+        if not rep.stable:
+            raise UnstableDynamics(
+                f"lam = {p.lam} >= lambda_crit = {rep.lambda_crit}")
+        raise TruncationError(
+            f"cannot size the truncation for lam = {p.lam} >= |delta_a| = "
+            f"{abs(p.delta_a)}")
+    return occ, max(16, math.ceil(12.0 * anti + 10.0 * occ + 10.0))
 
 
 def default_n_fock(p: OscillatorParams, drive: DriveSpec | None = None) -> int:
-    """Truncation sized to the slow Fock-space tails of squeezed states.
-
-    Squeezed states decay slowly in the number basis, so the truncation must
-    track the anti-squeezed quadrature variance (proportional to e^{2r}, or
-    to S_inf in the resonant regime), not just the mean occupation.
-    """
-    occ = estimate_occupation(p, drive)
-    if not math.isfinite(occ):
-        raise _unsized(p)
-    if p.delta_a == 0.0:
-        anti = resonant_steady_state(p).s_inf
-    else:
-        anti = math.exp(2.0 * frame_of(p).r)
-    return max(16, math.ceil(12.0 * anti + 10.0 * occ + 10.0))
+    """Truncation sized to the slow Fock-space tails of squeezed states:
+    max(16, ceil(12 A + 10 n + 10)), A the anti-squeezing and n the
+    estimated occupation (see _sizing)."""
+    return _sizing(p, drive)[1]
 
 
 def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1)
 
 
-def transmon_level_detunings(q: TransmonParams, n_levels: int) -> np.ndarray:
-    """delta_k = k delta_q + k(k-1)/2 chi_q (rotating frame at nu_p/2)."""
-    k = np.arange(n_levels, dtype=float)
+def transmon_level_detunings(q: TransmonParams) -> np.ndarray:
+    """delta_k = k delta_q + k(k-1)/2 chi_q for k < q.n_levels (rotating
+    frame at nu_p/2)."""
+    k = np.arange(q.n_levels, dtype=float)
     return k * q.delta_q + 0.5 * k * (k - 1.0) * q.chi_q
 
 
@@ -189,7 +189,7 @@ def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
     if q is None:
         return h_osc, a, None
     ident_t = np.eye(q.n_levels)
-    h_t = np.diag(transmon_level_detunings(q, q.n_levels))
+    h_t = np.diag(transmon_level_detunings(q))
     b = destroy(q.n_levels)  # lowering with sqrt(k+1) matrix elements
     h = (np.kron(ident_t, h_osc) + np.kron(h_t, ident_f)
          + q.g * (np.kron(b.conj().T, a) + np.kron(b, a.conj().T)))
@@ -210,18 +210,15 @@ def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
     """The truncation to use, default_n_fock(p, drive) when n_fock is None.
     Refuses, before allocating, n_fock < 4, an estimated occupation over
     n_fock/4 and more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
-    if n_fock is None:
-        n_fock = default_n_fock(p, drive)
-    if n_fock < 4:
+    if n_fock is not None and n_fock < 4:
         raise TruncationError(f"n_fock = {n_fock} is below 4")
-    occ = estimate_occupation(p, drive)
-    if not math.isfinite(occ):
-        raise _unsized(p)
+    occ, needed = _sizing(p, drive)
+    if n_fock is None:
+        n_fock = needed
     if occ > n_fock / 4.0:
         raise TruncationError(
             f"estimated occupation {occ:.3g} exceeds n_fock/4 = "
-            f"{n_fock / 4:.3g}; increase n_fock to at least "
-            f"{default_n_fock(p, drive)}")
+            f"{n_fock / 4:.3g}; increase n_fock to at least {needed}")
     unknowns = (n_fock * n_levels) ** 2
     if unknowns > _MAX_UNKNOWNS:
         raise TruncationError(
@@ -278,13 +275,6 @@ class SteadyStateResult:
     min_eigenvalue: float
     truncation_converged: bool
     n_fock: int
-
-    def bogoliubov_occupation(self, r: float) -> float:
-        """<alpha^dag alpha> from bare moments via the squeezing transform."""
-        ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
-        chsh = math.cosh(r) * math.sinh(r)
-        return (ch2 * self.n_mean + sh2 * (self.n_mean + 1.0)
-                - 2.0 * chsh * self.a_sq.real)
 
 
 def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:

@@ -8,6 +8,7 @@ kappa decays as exp(-kappa * tau).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -52,17 +53,16 @@ class Moments:
     a_sq: complex
     s_inf: float
 
-    def var_x(self, theta: float, kappa: float, lam: float) -> float:
-        """<X_theta^2> = (kappa^2/4 + lam (kappa/2) sin 2 theta) /
-        (4 (kappa^2/4 - lam^2))."""
-        k2 = kappa * kappa / 4.0
-        return 0.25 * (k2 + lam * (kappa / 2.0) * math.sin(2.0 * theta)) / (
-            k2 - lam * lam)
+    def var_x(self, theta: float) -> float:
+        """<X_theta^2> = (2n + 1 + 2 Re(e^{-2i theta} <a^2>)) / 4."""
+        return 0.25 * (2.0 * self.n_mean + 1.0 + self._rotated(theta))
 
-    def var_p(self, theta: float, kappa: float, lam: float) -> float:
-        k2 = kappa * kappa / 4.0
-        return 0.25 * (k2 - lam * (kappa / 2.0) * math.sin(2.0 * theta)) / (
-            k2 - lam * lam)
+    def var_p(self, theta: float) -> float:
+        """<P_theta^2> = (2n + 1 - 2 Re(e^{-2i theta} <a^2>)) / 4."""
+        return 0.25 * (2.0 * self.n_mean + 1.0 - self._rotated(theta))
+
+    def _rotated(self, theta: float) -> float:
+        return 2.0 * (cmath.exp(-2j * theta) * self.a_sq).real
 
 
 def coalescence_flags(frame: BogoliubovFrame, kappa: float) -> tuple[str, ...]:
@@ -142,6 +142,22 @@ def steady_moments(p: OscillatorParams) -> tuple[float, complex]:
     return n, complex(a_sq)
 
 
+def bogoliubov_moments(n: float, a_sq: complex, frame: BogoliubovFrame
+                       ) -> tuple[float, complex]:
+    """Bogoliubov-mode moments (<alpha^dag alpha>, <alpha^2>) from the bare
+    ones (n = <a^dag a>, a_sq = <a^2>), through the squeezing transform
+    alpha = a cosh r + s a^dag sinh r with s = -sign(delta_a), the negated
+    sign of frame.omega_bog.
+    """
+    ch, sh = math.cosh(frame.r), math.sinh(frame.r)
+    s = -1.0 if frame.omega_bog > 0 else 1.0
+    occupation = (ch * ch * n + sh * sh * (n + 1.0)
+                  + 2.0 * s * ch * sh * a_sq.real)
+    alpha_sq = (ch * ch * a_sq + sh * sh * a_sq.conjugate()
+                + s * ch * sh * (2.0 * n + 1.0))
+    return occupation, alpha_sq
+
+
 def anomalous_moment(p: OscillatorParams, frame: BogoliubovFrame) -> float:
     """Steady-state <alpha^2 + alpha^dag^2> of the Bogoliubov mode.
 
@@ -149,29 +165,17 @@ def anomalous_moment(p: OscillatorParams, frame: BogoliubovFrame) -> float:
     kappa/Omega_a and feeds the qubit shift through the anomalous coupling
     chi_anomalous.  (The Bogoliubov occupation itself is exactly sinh^2 r.)
     """
-    n, a_sq = steady_moments(p)
-    ch, sh = math.cosh(frame.r), math.sinh(frame.r)
-    s = -1.0 if p.delta_a > 0 else 1.0  # alpha = a cosh r + s a^dag sinh r
-    alpha_sq = (ch * ch * a_sq + sh * sh * a_sq.conjugate()
-                + s * ch * sh * (2.0 * n + 1.0))
-    return 2.0 * alpha_sq.real
+    return 2.0 * bogoliubov_moments(*steady_moments(p), frame)[1].real
 
 
 def resonant_steady_state(p: OscillatorParams) -> Moments:
-    """Closed-form steady-state moments for delta_a = 0, lam < kappa/2.
-
-    <a^dag a> = lam^2 / (2 (kappa^2/4 - lam^2)),
-    <a^2> = i lam (kappa/2) / (2 (kappa^2/4 - lam^2)),
+    """Closed-form steady-state moments for delta_a = 0, lam < kappa/2:
+    steady_moments' n and <a^2> = i lam (2n + 1) / kappa, with
     S_inf = (kappa/2) / (kappa/2 - lam).
     """
     if p.delta_a != 0.0:
         raise ValueError("resonant_steady_state requires delta_a = 0")
-    if p.lam >= p.kappa / 2.0:
-        raise ValueError("unstable: lam >= kappa/2")
-    k2 = p.kappa * p.kappa / 4.0
-    den = k2 - p.lam * p.lam
-    n_mean = 0.5 * p.lam * p.lam / den
-    a_sq = 0.5j * p.lam * (p.kappa / 2.0) / den
+    n_mean, a_sq = steady_moments(p)
     s_inf = (p.kappa / 2.0) / (p.kappa / 2.0 - p.lam)
     return Moments(n_mean=n_mean, a_sq=a_sq, s_inf=s_inf)
 
@@ -181,24 +185,19 @@ def resonant_driven_shift(p: OscillatorParams, chi_0: float,
     """Qubit shift under resonant pump (delta_a = 0) and a coherent drive at
     nu_p/2 with phase theta.
 
-    d_omega[lam] = (lam^2 / (2 (kappa^2/4 - lam^2))) chi_0
+    d_omega[lam] = (lam^2 / (2 (kappa^2/4 - lam^2))) chi_0 = n_mean chi_0
     d_omega[lam, n_d] = (kappa^2/4) (kappa^2/4 + lam^2 - lam kappa cos 2theta)
                         / (kappa^2/4 - lam^2)^2 * n_d * chi_0
 
     d_gamma_phi reports only the pump part (chi_0^2/kappa) n_mean (1 + n_mean)
     of the undriven steady state, not the phase-dependent drive dephasing.
     """
-    if p.delta_a != 0.0:
-        raise ValueError("resonant_driven_shift requires delta_a = 0")
-    if p.lam >= p.kappa / 2.0:
-        raise ValueError("unstable: lam >= kappa/2")
+    n_mean = resonant_steady_state(p).n_mean
     k2 = p.kappa * p.kappa / 4.0
-    den = k2 - p.lam * p.lam
-    lamb = 0.5 * p.lam * p.lam / den * chi_0
+    lamb = n_mean * chi_0
     drive_shift = (k2 * (k2 + p.lam * p.lam
                          - p.lam * p.kappa * math.cos(2.0 * drive.theta))
-                   / den ** 2 * drive.n_d * chi_0)
-    n_mean = 0.5 * p.lam * p.lam / den
+                   / (k2 - p.lam * p.lam) ** 2 * drive.n_d * chi_0)
     d_gamma = chi_0 * chi_0 / p.kappa * n_mean * (1.0 + n_mean)
     parts = {"lamb": lamb, "thermal": 0.0, "drive": drive_shift}
     return SpectralShift(d_omega_q=lamb + drive_shift, d_gamma_phi=d_gamma,
@@ -223,22 +222,18 @@ def number_correlation(frame: BogoliubovFrame, drive: DriveSpec,
 
 
 def dephasing_from_correlation(chi: float, frame: BogoliubovFrame,
-                               drive: DriveSpec, kappa: float,
-                               tau_max: float | None = None) -> float:
+                               drive: DriveSpec, kappa: float) -> float:
     """Induced dephasing chi^2 * integral_0^inf C(tau) dtau by quadrature.
 
-    Adaptive quadrature of the squeezed-vacuum correlator over [0, tau_max]
-    (default 60/kappa, truncation error ~ e^{-30}); independent of the
+    Adaptive quadrature of the squeezed-vacuum correlator over
+    [0, 60/kappa] (truncation error ~ e^{-30}); independent of the
     closed-form dephasing expressions it is used to check.
     """
     from scipy.integrate import quad
 
-    if tau_max is None:
-        tau_max = 60.0 / kappa
-
     def c_of_tau(t):
         return number_correlation(frame, drive, kappa, [t]).values[0]
 
-    val, _ = quad(c_of_tau, 0.0, tau_max, limit=400, epsabs=0.0,
+    val, _ = quad(c_of_tau, 0.0, 60.0 / kappa, limit=400, epsabs=0.0,
                   epsrel=1e-12)
     return chi * chi * val

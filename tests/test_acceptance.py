@@ -151,8 +151,8 @@ def test_criterion_05_steady_state_moments():
         mom = resonant_steady_state(p)
         res = steady_state(build_liouvillian(p), thetas=thetas)
         all_converged &= res.truncation_converged
-        vx = np.array([mom.var_x(t, KAPPA, p.lam) for t in thetas])
-        vp = np.array([mom.var_p(t, KAPPA, p.lam) for t in thetas])
+        vx = np.array([mom.var_x(t) for t in thetas])
+        vp = np.array([mom.var_p(t) for t in thetas])
         worst = max(
             worst,
             abs(res.n_mean - mom.n_mean) / mom.n_mean,

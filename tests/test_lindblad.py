@@ -111,10 +111,8 @@ class TestSteadyState:
                            check_convergence=False)
         mom = resonant_steady_state(p)
         for i, th in enumerate(thetas):
-            assert res.var_x[i] == pytest.approx(
-                mom.var_x(th, 8.7, 3.0), rel=1e-9)
-            assert res.var_p[i] == pytest.approx(
-                mom.var_p(th, 8.7, 3.0), rel=1e-9)
+            assert res.var_x[i] == pytest.approx(mom.var_x(th), rel=1e-9)
+            assert res.var_p[i] == pytest.approx(mom.var_p(th), rel=1e-9)
 
     def test_truncation_convergence_flag(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0)
@@ -466,16 +464,28 @@ class TestParitySectors:
                                lam=5.398959531054032e-220),
               TransmonParams(delta_q=-65.0, g=2.0, chi_q=-80.0, gamma_1=1.0,
                              gamma_phi=0.0, n_levels=2), 6))
+    # qubit at the Bogoliubov idler sideband (Omega_a = 28.1): the sector
+    # refuses, and the full-space runner-up overlap is 0.930 of its best
+    @example((OscillatorParams(freq_a=0.0, kappa=2.0, delta_a=32.5,
+                               lam=16.25),
+              TransmonParams(delta_q=-29.5, g=3.0, chi_q=-80.0, gamma_1=2.0,
+                             gamma_phi=0.0, n_levels=2), 6))
     def test_sector_coherence_eigenvalue_matches_full_space(self, system):
         p, q, n_fock = system
         liou = build_liouvillian(p, q, n_fock=n_fock)
         rho = lindblad._solve_steady_rho(liou)
-        sector = lindblad._coherence_eigenvalue(liou, rho, _sigma_guess(p, q))
+        sector = _unless_ambiguous(lambda: lindblad._coherence_eigenvalue(
+            liou, rho, _sigma_guess(p, q)))
         target = (rho @ liou.sigma_minus_full).reshape(-1, order="F")
         vals, vecs = spla.eigs(liou.matrix, k=10, sigma=_sigma_guess(p, q),
                                v0=target, ncv=lindblad._RETRY_NCV)
-        full = _target_eigenvalue(vals, vecs, target)
-        assert abs(sector - full) <= 1e-10 * max(1.0, abs(full))
+        if sector is None:
+            # a refusal stands only where the full space is ambiguous too
+            runner_up, best = np.sort(_overlaps(vecs, target))[-2:]
+            assert runner_up > 0.9 * best
+        else:
+            full = _target_eigenvalue(vals, vecs, target)
+            assert abs(sector - full) <= 1e-10 * max(1.0, abs(full))
 
     def test_drive_breaks_parity_and_uses_full_space(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)

@@ -4,10 +4,12 @@ Closed-form moments are cross-checked against the truncated-Fock Lindblad
 solver, which works in the bare basis and shares no algebra with them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boqsim import (
     DispersiveResult,
@@ -16,6 +18,7 @@ from boqsim import (
     TransmonParams,
     anomalous_moment,
     bo_occupation,
+    bogoliubov_moments,
     build_liouvillian,
     chi_transmon,
     dephasing_from_correlation,
@@ -82,10 +85,27 @@ class TestResonantSteadyState:
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0)
         mom = resonant_steady_state(p)
         k2 = 8.7 / 2.0
-        assert mom.var_x(math.pi / 4.0, 8.7, 3.0) == pytest.approx(
-            mom.s_inf / 4.0)
-        assert mom.var_p(math.pi / 4.0, 8.7, 3.0) == pytest.approx(
+        assert mom.var_x(math.pi / 4.0) == pytest.approx(mom.s_inf / 4.0)
+        assert mom.var_p(math.pi / 4.0) == pytest.approx(
             k2 / (4.0 * (k2 + 3.0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.floats(0.1, 100.0), ratio=st.floats(0.0, 0.99),
+           theta=st.floats(-math.pi, math.pi))
+    def test_quadrature_variances_match_closed_forms(self, kappa, ratio,
+                                                     theta):
+        # <X_theta^2>, <P_theta^2> = (kappa^2/4 +- lam (kappa/2) sin 2theta)
+        # / (4 (kappa^2/4 - lam^2)); ratio <= 0.99 keeps the round-off of
+        # either form's cancellation near lam = kappa/2 below 1e-12
+        lam = ratio * kappa / 2.0
+        mom = resonant_steady_state(OscillatorParams(
+            freq_a=0.0, kappa=kappa, delta_a=0.0, lam=lam))
+        k2 = kappa * kappa / 4.0
+        swing = lam * (kappa / 2.0) * math.sin(2.0 * theta)
+        assert mom.var_x(theta) == pytest.approx(
+            (k2 + swing) / (4.0 * (k2 - lam * lam)), rel=1e-12)
+        assert mom.var_p(theta) == pytest.approx(
+            (k2 - swing) / (4.0 * (k2 - lam * lam)), rel=1e-12)
 
     def test_requires_resonant_pump(self):
         with pytest.raises(ValueError):
@@ -104,11 +124,14 @@ class TestBogoliubovMoments:
 
     def test_oracle_bogoliubov_occupation_is_sinh_squared(self):
         # dissipation in the bare basis leaves <alpha^dag alpha> = sinh^2 r
-        frame = frame_of(P_DETUNED)
-        liou = build_liouvillian(P_DETUNED)
-        res = steady_state(liou, check_convergence=False)
-        assert res.bogoliubov_occupation(frame.r) == pytest.approx(
-            frame.sinh2, rel=1e-9, abs=1e-12)
+        # on either side of the pump; the transform's sign follows delta_a
+        for delta_a in (20.0, -20.0):
+            p = dataclasses.replace(P_DETUNED, delta_a=delta_a)
+            frame = frame_of(p)
+            res = steady_state(build_liouvillian(p), check_convergence=False)
+            occupation, _ = bogoliubov_moments(res.n_mean, res.a_sq, frame)
+            assert occupation == pytest.approx(frame.sinh2, rel=1e-9,
+                                               abs=1e-12)
 
     def test_anomalous_moment_matches_oracle_transform(self):
         # <alpha^2 + alpha^dag^2> rebuilt from the oracle's bare moments
