@@ -25,15 +25,21 @@ degree on A^T + A and pivots with threshold 0.1, preferring the diagonal
 (SuperLU's symmetric mode; X. S. Li, ACM TOMS 31, 302 (2005)).  The
 Liouvillian blocks are nearly structurally symmetric, and this gives about
 half the fill of the default COLAMD ordering.  ARPACK takes the one
-factorization of the coherence block - sigma I as its shift-invert operator,
-the retry included, and the pick is among the _N_CANDIDATES eigenvalues
-nearest sigma.  ARPACK stops when every candidate's Ritz estimate is below
-_ARPACK_TOL relative, not at machine precision, and its set can then hold a
-farther eigenvalue in place of a near one of small overlap.  Only the pick
-is certified: its eigenpair must have ||B v - mu v|| / ||v|| <=
-1e-13 ||B||_1, or ArpackNoConvergence is raised.  Measured picks have
-residuals below 1e-16 ||B||_1 and match a machine-precision run to 2e-16
-relative.
+factorization of the coherence block - sigma I as its shift-invert operator
+for every pass and retry, and the pick is among its _N_CANDIDATES Ritz pairs
+nearest sigma.  The pick is read from one Arnoldi pass (tol = 1, 22
+back-solves at ARPACK's default Krylov size), which converges the target
+mode but not its runner-ups.  The ambiguity decision needs only their
+overlaps, which move by <= 1.1e-4 from one pass to machine precision over
+sideband-biased draws; where the one-pass runner-up overlaps more than
+_RECHECK_RATIO = 0.8 of the best, within 0.1 of AmbiguousSector's 0.9, the
+candidates are recomputed to machine precision and the decision is made from
+those.  A mode past the _N_CANDIDATES nearest is never compared, however
+much it overlaps.  Only the pick is certified: its eigenpair must have
+||B v - mu v|| / ||v|| <= 1e-13 ||B||_1, or ArpackNoConvergence is raised.
+At the benchmark's points one-pass picks have residuals below 4e-17 ||B||_1
+and match a machine-precision run to 3e-16 relative; a one-pass pick that
+fails the bound (seen with the qubit on the oscillator) is recomputed too.
 Truncation: every entry point takes n_fock, the Fock truncation, with None
 meaning default_n_fock(p, drive).  One function, _sizing, reads the pump's
 regime and gives both the estimated occupation (n_d cosh^2 r + sinh^2 r
@@ -79,11 +85,20 @@ from .spectral import bo_occupation, resonant_steady_state
 
 # Krylov size of the coherence eigensolve's retry (ARPACK's default: 21)
 _RETRY_NCV = 42
-# ARPACK's stopping test, ||r|| <= tol |theta| for every candidate Ritz pair
-# (scipy's default 0 means machine precision); only the picked pair is
-# certified, by _EIG_RESIDUAL
-_ARPACK_TOL = 1e-8
-# eigenvalues nearest sigma among which the coherence mode is picked
+# ARPACK's stopping test: ||r|| <= tol |theta| for every candidate Ritz pair
+# (scipy's default tol 0 means machine precision).  The coherence pick reads
+# one Arnoldi pass, tol 1 (22 back-solves at ARPACK's default Krylov size);
+# it converges the picked pair, which _EIG_RESIDUAL certifies, but not the
+# runner-ups
+_ONE_PASS_TOL = 1.0
+# a one-pass runner-up overlap above this fraction of the best (0.1 below
+# AmbiguousSector's 0.9; one pass moved measured ratios by <= 1.1e-4), or a
+# one-pass pick that fails _EIG_RESIDUAL, has the candidates recomputed to
+# machine precision on the same factorization, and the decision made from
+# those
+_RECHECK_RATIO = 0.8
+# Ritz pairs nearest sigma among which the coherence mode is picked and
+# against which AmbiguousSector compares it
 _N_CANDIDATES = 10
 # the 2x truncation check passes when no moment moves by this much (relative)
 _CONVERGENCE_FACTOR = 1e-6
@@ -398,23 +413,37 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
     block = liou.matrix[sec][:, sec]
     n = block.shape[0]
     # shift-invert: one factorization of block - sigma I serves every ARPACK
-    # back-solve, the retry's included
+    # back-solve, the retry's and the second pass's included
     lu = _factorize(block - sigma_guess * sp.identity(n, format="csc"))
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
     opts = dict(k=min(_N_CANDIDATES, n - 2), sigma=sigma_guess, OPinv=opinv,
-                v0=target.astype(complex), tol=_ARPACK_TOL)
-    try:
-        vals, vecs = spla.eigs(block, **opts)
-    except spla.ArpackError:
-        # a tiny nonzero lam can stall ARPACK (error 3) at its default size
-        vals, vecs = spla.eigs(block, ncv=min(n, _RETRY_NCV), **opts)
-    overlaps = np.abs(vecs.conj().T @ target) / np.linalg.norm(vecs, axis=0)
+                v0=target.astype(complex))
+
+    def candidates(tol):
+        try:
+            vals, vecs = spla.eigs(block, tol=tol, **opts)
+        except spla.ArpackError:
+            # a tiny nonzero lam can stall ARPACK (error 3) at its default size
+            vals, vecs = spla.eigs(block, tol=tol, ncv=min(n, _RETRY_NCV),
+                                   **opts)
+        overlaps = (np.abs(vecs.conj().T @ target)
+                    / np.linalg.norm(vecs, axis=0))
+        return vals, vecs, overlaps
+
+    def residual(val, vec):
+        return np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
+
+    bound = _EIG_RESIDUAL * spla.norm(block, 1)
+    vals, vecs, overlaps = candidates(_ONE_PASS_TOL)
+    second, best = np.argsort(overlaps)[-2:]
+    if (overlaps[second] > _RECHECK_RATIO * overlaps[best]
+            or not residual(vals[best], vecs[:, best]) <= bound):
+        vals, vecs, overlaps = candidates(0.0)
     best = _unambiguous_pick(vals, overlaps)
-    vec, val = vecs[:, best], vals[best]
-    residual = np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
-    if not residual <= _EIG_RESIDUAL * spla.norm(block, 1):
+    val, res = vals[best], residual(vals[best], vecs[:, best])
+    if not res <= bound:
         raise spla.ArpackNoConvergence(
-            f"coherence eigenpair {val:.6g} has residual {residual:.3g}",
+            f"coherence eigenpair {val:.6g} has residual {res:.3g}",
             vals, vecs)
     return complex(val)
 
@@ -478,9 +507,13 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     excitation, chi = (E_e1 - E_e0) - (E_g1 - E_g0).
 
     Eigenstates are identified by maximal overlap with the squeezed-Fock
-    product states.  This is the Hamiltonian (zero-dissipation) sector of the
-    Liouvillian spectrum; with kappa ~ the level spacings the dissipative
-    coherence modes hybridize and a per-excitation reading is ill-defined.
+    product states.  When, for any of the four, a second eigenstate
+    overlaps more than 0.9 times as much (the qubit near a level crossing
+    with the oscillator, where the states hybridize), no per-excitation
+    reading exists and AmbiguousSector is raised.  This is the Hamiltonian
+    (zero-dissipation) sector of the Liouvillian spectrum; with kappa ~ the
+    level spacings the dissipative coherence modes hybridize and a
+    per-excitation reading is ill-defined.
     """
     if p.delta_a == 0.0 or p.lam >= abs(p.delta_a):
         raise ValueError("chi_exact requires the detuned regime "
@@ -494,5 +527,6 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     sq = np.linalg.eigh(math.copysign(1.0, p.delta_a) * h_osc)[1][:, :2]
     # products |k>|n_s> in the order g0, g1, e0, e1
     targets = np.kron(np.eye(q.n_levels)[:, :2], sq)
-    e = evals[np.argmax(np.abs(evecs.conj().T @ targets), axis=0)]
+    e = [evals[_unambiguous_pick(evals, overlaps)]
+         for overlaps in np.abs(evecs.conj().T @ targets).T]
     return float((e[3] - e[2]) - (e[1] - e[0]))
