@@ -2,6 +2,9 @@
 gain-bandwidth sweeps, qubit spectral response, chi enhancement) and runs
 oracle comparisons, emitting self-describing CSV/JSON for external plotting.
 
+The one module that knows the config format: it reads the file, types
+every value from SCHEMA and echoes the resolved config in each CSV's `#` block.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure; errors are
 reported as one-line JSON on stderr.
 """
@@ -21,10 +24,11 @@ import numpy as np
 import scipy
 from scipy.sparse.linalg import ArpackError
 
-from . import calibration, dispersive, lindblad, scattering, spectral
+from . import (__version__, calibration, dispersive, lindblad, scattering,
+               spectral)
 from .core import (BogoliubovFrame, DriveSpec, OscillatorParams,
                    TransmonParams, frame_of, lambda_coalescence,
-                   lambda_critical, read_config, validate)
+                   lambda_critical, validate)
 
 # default squeezing-amplitude cap for qubit-facing sweeps (dB); keeps the
 # oscillator occupancy at or below ~1.2 photons on every branch
@@ -36,7 +40,42 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config and output plumbing
+# config files (flat "name = value" text or JSON; a repeated key is refused)
+# and output plumbing
+
+
+def parse_flat(text: str) -> dict:
+    """Parse `name = value` lines into text values, typed later from
+    SCHEMA; `#` starts a comment."""
+    out: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'name = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = val
+    return out
+
+
+def _unique_keys(pairs: list) -> dict:
+    out: dict = {}
+    for key, val in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = val
+    return out
+
+
+def read_config(path: str | Path) -> dict:
+    """Read a flat-text or JSON file (JSON when it starts with '{')."""
+    text = Path(path).read_text()
+    if text.lstrip().startswith("{"):
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    return parse_flat(text)
 
 
 def _floats(raw) -> tuple[float, ...]:
@@ -97,14 +136,18 @@ def _bad_value(kind, val) -> str | None:
 
 def resolve_config(command: str, raw: dict) -> dict:
     """Every SCHEMA[command] key, typed; a missing or null value takes the
-    default.  Unknown keys, values of the wrong type (a JSON boolean, list
-    entries included, is not a number), values breaking _bad_value's rule,
-    kappa <= 0, a gains_db entry <= 0 (no pump reaches a gain G <= 1) and
-    n_fock < 4 raise ConfigError."""
+    default.  Unknown keys, delta_q given with delta_q_offset, values of the
+    wrong type (a JSON boolean, list entries included, is not a number),
+    values breaking _bad_value's rule, kappa <= 0, a gains_db entry <= 0 (no
+    pump reaches a gain G <= 1) and n_fock < 4 raise ConfigError."""
     schema = SCHEMA[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
+    # read off the raw keys, as the resolved offset always has a default
+    if all(raw.get(key) is not None for key in ("delta_q", "delta_q_offset")):
+        raise ConfigError("give delta_q or delta_q_offset, not both: a fixed "
+                          "delta_q would ignore the offset")
     cfg = {}
     for key, (kind, default) in schema.items():
         val = raw.get(key)
@@ -145,16 +188,6 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def meta_block(params: dict, timestamp: bool) -> str:
-    lines = []
-    if timestamp:
-        lines.append(f"# generated: "
-                     f"{datetime.datetime.now(datetime.timezone.utc).isoformat()}")
-    for key, val in params.items():
-        lines.append(f"# {key} = {val}")
-    return "\n".join(lines) + "\n"
-
-
 def _spec(val) -> str:
     """The %-format of one cell: ten significant digits for a float
     (numpy float64 included), str for anything else."""
@@ -169,16 +202,36 @@ def _fmt(val) -> str:
 _CHUNK_ROWS = 4096
 
 
-def write_csv(path: Path, meta: dict, header: list[str], rows,
-              timestamp: bool) -> None:
-    """Write the metadata block, the header and the rows, each cell as
-    _fmt writes it.
+def meta_block(command: str, cfg: dict, args) -> str:
+    """The `#` lines opening each CSV: the timestamp unless --no-timestamp,
+    the command, every resolved SCHEMA[command] value, defaults included,
+    oracle where the command takes --oracle, the seed and the versions."""
+    lines = []
+    if not args.no_timestamp:
+        now = datetime.datetime.now(datetime.timezone.utc)
+        lines.append(f"generated: {now.isoformat()}")
+    lines.append(f"command = {command}")
+    for key, val in cfg.items():
+        if isinstance(val, tuple):
+            val = ",".join(map(_fmt, val))
+        lines.append(f"{key} = {val}")
+    if "oracle" in args:
+        lines.append(f"oracle = {int(args.oracle)}")
+    lines += [f"seed = {args.seed}", f"boqsim_version = {__version__}",
+              f"numpy_version = {np.__version__}",
+              f"scipy_version = {scipy.__version__}"]
+    return "".join(f"# {line}\n" for line in lines)
+
+
+def write_csv(path: Path, meta: str, header: list[str], rows) -> None:
+    """Write the metadata block meta (meta_block's lines), the header and
+    the rows, each cell as _fmt writes it.
 
     rows is a 2-D float64 array, or a sequence of rows whose cells keep one
     _spec kind per column (float, or anything printed by str).  One row
     format, read off the first row, formats the whole table; a row whose
     cell kinds differ from the first row's raises ValueError."""
-    body = [meta_block(meta, timestamp), ",".join(header) + "\n"]
+    body = [meta, ",".join(header) + "\n"]
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2 or rows.dtype != np.float64:
             raise ValueError(f"expected a 2-D float64 table, got "
@@ -259,14 +312,9 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
                 abs_db = 20.0 * np.log10(np.abs(vals))
             blocks.append(np.column_stack(np.broadcast_arrays(
                 delta_a, lam, probes, abs_db, np.angle(vals))))
-    meta = {"command": "gain_map", "kappa": kappa,
-            "delta_a_list": ",".join(map(_fmt, deltas)),
-            "probe_span": cfg["probe_span"],
-            "probe_points": cfg["probe_points"],
-            "lam_points": cfg["lam_points"], "seed": args.seed}
-    write_csv(out / "gain_map.csv", meta,
+    write_csv(out / "gain_map.csv", meta_block("gain_map", cfg, args),
               ["delta_a", "lam", "freq_mhz", "abs_db", "phase_rad"],
-              np.concatenate(blocks), not args.no_timestamp)
+              np.concatenate(blocks))
     if skipped:
         write_atomic(out / "gain_map.log", "\n".join(skipped) + "\n")
 
@@ -303,14 +351,9 @@ def cmd_gbw(cfg: dict, out: Path, args) -> None:
                          summ.peak_freq, summ.bw_3db, bw_fit,
                          summ.bw_3db * math.sqrt(summ.g_max),
                          summ.n_peaks, merged))
-    meta = {"command": "gbw", "kappa": kappa,
-            "delta_a_list": ",".join(map(_fmt, deltas)),
-            "gains_db": ",".join(map(_fmt, cfg["gains_db"])),
-            "seed": args.seed}
-    write_csv(out / "gbw.csv", meta,
+    write_csv(out / "gbw.csv", meta_block("gbw", cfg, args),
               ["delta_a", "lam", "g_max_db", "peak_freq", "bw_3db",
-               "bw_fit", "bw_sqrt_g", "n_peaks", "merged"],
-              rows, not args.no_timestamp)
+               "bw_fit", "bw_sqrt_g", "n_peaks", "merged"], rows)
 
 
 def _qubit_sweep(cfg: dict):
@@ -356,15 +399,12 @@ def cmd_qubit_response(cfg: dict, out: Path, args) -> None:
             deph.append(float("nan") if orc is None else orc.d_gamma_phi)
         shift_rows.append((*shift, ";".join(flags)))
         deph_rows.append((*deph, ";".join(flags)))
-    meta = {"command": "qubit_response", "kappa": cfg["kappa"],
-            "delta_a_list": ",".join(map(_fmt, cfg["delta_a_list"])),
-            "s_db_cap": S_DB_CAP, "oracle": int(args.oracle),
-            "seed": args.seed}
+    meta = meta_block("qubit_response", cfg, args)
     for name, col, rows in (("qubit_shift.csv", "d_omega_q", shift_rows),
                             ("qubit_dephasing.csv", "d_gamma_phi", deph_rows)):
         cols = [col, col + "_oracle"] if args.oracle else [col]
         write_csv(out / name, meta, ["delta_a", "lam", "s_db", *cols, "flags"],
-                  rows, not args.no_timestamp)
+                  rows)
 
 
 def _fit_chi_synthetic(chi_true: float, frame, kappa: float,
@@ -413,12 +453,8 @@ def cmd_chi_sweep(cfg: dict, out: Path, args) -> None:
     header = ["delta_a", "lam", "s_db", "chi_analytic", "chi_fit"]
     if args.oracle:
         header.append("chi_oracle")
-    meta = {"command": "chi_sweep", "kappa": cfg["kappa"],
-            "delta_a_list": ",".join(map(_fmt, cfg["delta_a_list"])),
-            "snr_db": cfg["snr_db"], "oracle": int(args.oracle),
-            "seed": args.seed}
-    write_csv(out / "chi_vs_lambda.csv", meta, header, rows,
-              not args.no_timestamp)
+    write_csv(out / "chi_vs_lambda.csv", meta_block("chi_sweep", cfg, args),
+              header, rows)
 
 
 def _rel(err_num: float, ref: float) -> float:

@@ -1,4 +1,4 @@
-"""Shared parameter types, unit conventions and stability checks.
+"""Parameter types, unit conventions, stability checks, squeezing frame.
 
 Unit convention: every frequency and rate is an ordinary frequency in MHz
 (nu = omega / 2 pi).  All formulas in this package are ratio-homogeneous in
@@ -13,10 +13,8 @@ sign of delta_a is carried by the renormalized frequency Omega_a.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 
 class StabilityError(ValueError):
@@ -190,43 +188,3 @@ def frame_of(params: OscillatorParams) -> BogoliubovFrame:
     omega_bog = params.delta_a / math.cosh(2.0 * r)
     return BogoliubovFrame(r=r, s_db=s_db, omega_bog=omega_bog)
 
-
-# ---------------------------------------------------------------------------
-# config files: flat "name = value" text or JSON; a repeated key is refused
-
-def parse_flat(text: str) -> dict:
-    """Parse `name = value` lines; `#` starts a comment; values are numbers."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'name = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            num = float(val)
-        except ValueError:
-            out[key] = val
-            continue
-        out[key] = int(num) if num.is_integer() and "." not in val and "e" not in val.lower() else num
-    return out
-
-
-def _unique_keys(pairs: list) -> dict:
-    out: dict = {}
-    for key, val in pairs:
-        if key in out:
-            raise ValueError(f"duplicate key {key!r}")
-        out[key] = val
-    return out
-
-
-def read_config(path: str | Path) -> dict:
-    """Read a flat-text or JSON file (JSON when it starts with '{')."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    return parse_flat(text)

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib
 import json
 import math
 import subprocess
@@ -11,12 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import boqsim
 from boqsim import cli, lindblad, scattering
-from boqsim.cli import main
-from boqsim.core import (OscillatorParams, lambda_critical, parse_flat,
-                         validate)
+from boqsim.cli import main, parse_flat, read_config, resolve_config
+from boqsim.core import OscillatorParams, lambda_critical, validate
 
 FAST_GAIN_MAP = "delta_a_list = 0,30\nprobe_points = 41\nlam_points = 4\n"
 
@@ -110,7 +112,7 @@ def _reference_csv(meta, header, rows):
     def fmt(v):
         return f"{v:.10g}" if isinstance(v, float) else str(v)
 
-    return (cli.meta_block(meta, False) + ",".join(header) + "\n"
+    return (meta + ",".join(header) + "\n"
             + "".join(",".join(map(fmt, row)) + "\n" for row in rows))
 
 
@@ -119,10 +121,10 @@ EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16,
 
 
 class TestWriteCsv:
-    META = {"command": "test", "kappa": 8.7}
+    META = "# command = test\n# kappa = 8.7\n"
 
     def _written(self, tmp_path, header, rows):
-        cli.write_csv(tmp_path / "t.csv", self.META, header, rows, False)
+        cli.write_csv(tmp_path / "t.csv", self.META, header, rows)
         return (tmp_path / "t.csv").read_text()
 
     def test_mixed_kind_rows_match_the_per_value_join(self, tmp_path):
@@ -307,6 +309,46 @@ class TestContracts:
         text = (out / "gain_map.csv").read_text()
         assert "# command = gain_map" in text
         assert "# kappa = 8.7" in text
+
+    # one value per command unlike its default, as the '#' block writes it
+    ECHOED = {"gain_map": ("lam_max_factor", "0.9"),
+              "gbw": ("gains_db", "6,7.5"), "qubit_response": ("g", "4.0"),
+              "chi_sweep": ("delta_q", "-70.0")}
+
+    @pytest.mark.parametrize("command,extra", [
+        ("gain_map", ()), ("gbw", ()), ("qubit_response", ()),
+        ("qubit_response", ("--oracle",)), ("chi_sweep", ()),
+        ("chi_sweep", ("--oracle",)),
+    ], ids=["gain_map", "gbw", "qubit_response", "qubit_response_oracle",
+            "chi_sweep", "chi_sweep_oracle"])
+    def test_metadata_block_echoes_the_resolved_config(self, tmp_path,
+                                                       command, extra):
+        key, val = self.ECHOED[command]
+        given = {**parse_flat(FAST_CONFIGS[command]), key: val,
+                 **({"n_fock": "12"} if extra else {})}
+        code, out = run(tmp_path, command, *extra, "--seed", "3",
+                        config="".join(f"{k} = {v}\n"
+                                       for k, v in given.items()))
+        assert code == 0
+        takes_oracle = command in ("qubit_response", "chi_sweep")
+        want = ["command", *cli.SCHEMA[command],
+                *(["oracle"] if takes_oracle else []), "seed",
+                "boqsim_version", "numpy_version", "scipy_version"]
+        paths = sorted(out.glob("*.csv"))
+        assert paths
+        for path in paths:
+            lines = [line[2:] for line in path.read_text().splitlines()
+                     if line.startswith("# ")]
+            meta = dict(line.split(" = ", 1) for line in lines)
+            assert list(meta) == want and len(lines) == len(want), path.name
+            assert meta["command"] == command and meta[key] == val
+            assert meta["kappa"] == "8.7" and meta["seed"] == "3"
+            if takes_oracle:
+                assert meta["oracle"] == str(len(extra))
+                assert meta["n_fock"] == ("12" if extra else "None")
+            assert meta["boqsim_version"] == boqsim.__version__
+            assert meta["numpy_version"] == np.__version__
+            assert meta["scipy_version"] == scipy.__version__
 
     def test_json_config_accepted(self, tmp_path):
         cfg = json.dumps({"delta_a_list": [0.0], "probe_points": 41,
@@ -571,12 +613,72 @@ class TestConfigSchema:
         for path in out_flat.iterdir():
             assert (out_json / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("command", ["qubit_response", "chi_sweep",
+                                         "oracle_compare"])
+    def test_delta_q_with_delta_q_offset_is_config_error(self, tmp_path,
+                                                         capsys, command):
+        # a fixed delta_q once ignored the offset without a word
+        code, out = run(tmp_path, command,
+                        config=FAST_CONFIGS[command]
+                        + "delta_q = -70\ndelta_q_offset = -50\n")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "config"
+        assert "delta_q or delta_q_offset" in err["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gain_map", "gbw",
                                          "oracle_compare"])
     def test_oracle_flag_only_on_oracle_commands(self, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--oracle"])
         assert exc.value.code == 2
+
+
+class TestSerialization:
+    def test_flat_values_stay_text(self):
+        # SCHEMA types every value; the reader guesses no number type
+        data = parse_flat("n_fock = 32\nkappa = 8.7\nlam = 1e2\n"
+                          "delta_a_list = 0, 30\n")
+        assert data == {"n_fock": "32", "kappa": "8.7", "lam": "1e2",
+                        "delta_a_list": "0, 30"}
+
+    def test_flat_comments_and_blank_lines(self):
+        data = parse_flat("# header\n\nkappa = 8.7  # inline\n")
+        assert data == {"kappa": "8.7"}
+
+    def test_flat_rejects_malformed_line(self):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_flat("kappa 8.7\n")
+
+    def test_json_file_detected_by_content(self, tmp_path):
+        # JSON values keep their JSON types
+        path = tmp_path / "p.txt"
+        data = {"kappa": 2.0, "delta_a_list": [0.0, 30.0], "lam_points": 3}
+        path.write_text(json.dumps(data))
+        got = read_config(path)
+        assert got == data and type(got["lam_points"]) is int
+
+    def test_benchmark_configs_read_as_json_numbers(self, monkeypatch):
+        # every flat config the benchmark and these tests run resolves to
+        # the values of the same numbers given as JSON
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        configs = list(FAST_CONFIGS.items())
+        for spec in workloads.SIZES.values():
+            configs += [(key.removesuffix("_oracle"), text)
+                        for key, text in spec.items()
+                        if key.removesuffix("_oracle") in cli.SCHEMA
+                        and text is not None]
+        assert len(configs) == 16
+        for command, text in configs:
+            given = parse_flat(text)
+            numbers = {}
+            for key, val in given.items():
+                listed = cli.SCHEMA[command][key][0] is cli._floats
+                numbers[key] = json.loads(f"[{val}]" if listed else val)
+            assert (repr(resolve_config(command, given))
+                    == repr(resolve_config(command, numbers))), text
 
 
 class TestOracleFailures:

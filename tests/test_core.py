@@ -1,7 +1,5 @@
-"""Parameter types, stability thresholds, squeezing frame, config-file
-reading."""
+"""Parameter types, stability thresholds, squeezing frame."""
 
-import json
 import math
 
 import pytest
@@ -18,7 +16,6 @@ from boqsim import (
     lambda_critical,
     validate,
 )
-from boqsim.core import parse_flat, read_config
 
 
 class TestParamValidation:
@@ -157,26 +154,3 @@ class TestBogoliubovFrame:
         assert frame.omega_bog == pytest.approx(expected, rel=1e-12,
                                                 abs=1e-12)
 
-
-class TestSerialization:
-    def test_flat_round_trip(self):
-        # an integer stays an int; a point or an exponent makes a float
-        data = parse_flat("n_fock = 32\nkappa = 8.7\nlam = 1e2\n"
-                          "name = abc\n")
-        assert data == {"n_fock": 32, "kappa": 8.7, "lam": 100.0,
-                        "name": "abc"}
-        assert type(data["n_fock"]) is int and type(data["lam"]) is float
-
-    def test_flat_comments_and_blank_lines(self):
-        data = parse_flat("# header\n\nkappa = 8.7  # inline\n")
-        assert data == {"kappa": 8.7}
-
-    def test_flat_rejects_malformed_line(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_flat("kappa 8.7\n")
-
-    def test_json_file_detected_by_content(self, tmp_path):
-        path = tmp_path / "p.txt"
-        data = {"kappa": 2.0, "delta_a_list": [0.0, 30.0], "lam_points": 3}
-        path.write_text(json.dumps(data))
-        assert read_config(path) == data
