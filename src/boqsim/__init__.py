@@ -20,10 +20,7 @@ from .core import (
 from .dispersive import (
     DISPERSIVE_ETA_MAX,
     DispersiveResult,
-    DressedLossRates,
     chi_transmon,
-    dressed_losses,
-    pump_to_lambda,
 )
 from .scattering import (
     ComplexSpectrum,
@@ -32,25 +29,21 @@ from .scattering import (
     PeakInfo,
     fit_bandwidth,
     gain_summary,
-    gamma_coupled,
     gamma_idler,
     gamma_qubit,
     gamma_signal,
-    gmax_resonant,
     lambda_for_gain,
     peak_gain,
     qubit_spectrum,
     signal_spectrum,
 )
 from .spectral import (
-    CorrelationCurve,
     Moments,
     SpectralShift,
     anomalous_moment,
     bo_occupation,
     bogoliubov_moments,
     dephasing_from_correlation,
-    number_correlation,
     resonant_driven_shift,
     resonant_steady_state,
     shift_driven,
@@ -66,7 +59,6 @@ from .lindblad import (
     UnstableDynamics,
     build_liouvillian,
     chi_exact,
-    default_n_fock,
     qubit_shift_dephasing,
     steady_state,
 )
@@ -76,7 +68,6 @@ from .calibration import (
     FitReport,
     add_complex_noise,
     fit_chi_enhanced,
-    fit_chi_n0,
     fit_circle,
     fit_lambda,
     fit_straddling,

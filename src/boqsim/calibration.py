@@ -1,6 +1,6 @@
 """Fitting pipelines for synthetic or measured spectra: pump amplitude from
-reflection gain, tilted-circle qubit line fits, joint chi / photon-number
-calibration, and straddling-regime (g, chi_q) extraction.
+reflection gain, tilted-circle qubit line fits, straddling-regime (g, chi_q)
+extraction, and squeezing-enhanced chi.
 
 All fitters use damped least squares (scipy's trust-region reflective
 Levenberg-Marquardt variant) on smooth low-dimensional models.
@@ -211,57 +211,6 @@ def fit_circle(spectrum: ComplexSpectrum
         radius=float(amp / gamma_t), tilt=float(tilt), nu_q=float(nu_q),
         gamma_t=float(gamma_t))
     return model, report
-
-
-# ---------------------------------------------------------------------------
-# joint chi / photon-number calibration
-
-
-def fit_chi_n0(datasets, kappa: float) -> FitReport:
-    """Global fit of per-detuning chi_i and one shared power scale P0.
-
-    datasets: sequence of (powers, d_omega_q, d_gamma_phi) triples, one per
-    qubit detuning; d_gamma_phi may be None.  Model: n_d = P/P0,
-    d_omega = chi n_d, d_gamma_phi = 2 chi^2 n_d / kappa.
-    """
-    datasets = [(np.asarray(p, dtype=float),
-                 np.asarray(w, dtype=float),
-                 None if g is None else np.asarray(g, dtype=float))
-                for p, w, g in datasets]
-    if not datasets:
-        raise DegenerateFitError("no datasets supplied")
-    if all(np.all(p == 0) for p, _, _ in datasets):
-        raise DegenerateFitError("zero drive powers carry no information")
-    if len(datasets) == 1 and datasets[0][2] is None:
-        raise DegenerateFitError(
-            "single detuning without dephasing data: chi and P_0 are "
-            "degenerate (only chi/P_0 is identifiable)")
-
-    n_chi = len(datasets)
-    p_scale = float(np.median(np.concatenate(
-        [p for p, _, _ in datasets if len(p)])))
-
-    def resid(x):
-        chis, p0 = x[:n_chi], x[n_chi]
-        out = []
-        for (powers, dw, dg), chi in zip(datasets, chis):
-            n_d = powers / p0
-            out.append(dw - chi * n_d)
-            if dg is not None:
-                out.append(dg - 2.0 * chi * chi * n_d / kappa)
-        return np.concatenate(out)
-
-    chi0 = []
-    for powers, dw, _ in datasets:
-        mask = powers > 0
-        chi0.append(float(np.mean(dw[mask] / (powers[mask] / p_scale)))
-                    if mask.any() else -0.1)
-    x0 = np.array(chi0 + [p_scale])
-    res = scipy.optimize.least_squares(resid, x0, xtol=1e-14, ftol=1e-14,
-                                       gtol=GRAD_TOL, max_nfev=MAX_ITER * 10)
-    n_data = sum(len(p) * (1 if g is None else 2) for p, _, g in datasets)
-    names = [f"chi_{i}" for i in range(n_chi)] + ["p0"]
-    return _report(res, names, n_data)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ _OSCILLATOR = {"kappa": (float, 8.7)}
 _QUBIT = {**_OSCILLATOR, "delta_q": (float, None),
           "delta_q_offset": (float, -100.0), "g": (float, 4.9),
           "chi_q": (float, -114.0),
-          "n_fock": (_int, None)}  # None: lindblad.default_n_fock per point
+          "n_fock": (_int, None)}  # None: the default truncation per point
 # the qubit's decay rates; chi_sweep takes none, as no column it writes
 # depends on them
 _RATES = {"gamma_1": (float, 5.0), "gamma_phi": (float, 2.2)}

@@ -128,19 +128,14 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Stability diagnostics of a pumped oscillator.
+    """Stability of a pumped oscillator.
 
-    lambda_co is the coalescence amplitude sqrt(delta_a^2 - kappa^2/4)
-    (None when |delta_a| < kappa/2); lambda_crit is the instability
-    threshold: kappa/2 at delta_a = 0, sqrt(delta_a^2 + kappa^2/4) otherwise.
-    margin is lambda_crit - lam (negative when unstable).
+    lambda_crit is the instability threshold: kappa/2 at delta_a = 0,
+    sqrt(delta_a^2 + kappa^2/4) otherwise; stable means lam < lambda_crit.
     """
 
     stable: bool
-    lambda_co: float | None
     lambda_crit: float
-    margin: float
-    margin_to_coalescence: float | None
 
 
 def lambda_coalescence(kappa: float, delta_a: float) -> float | None:
@@ -157,17 +152,9 @@ def lambda_critical(kappa: float, delta_a: float) -> float:
 
 
 def validate(params: OscillatorParams) -> StabilityReport:
-    """Classify a parameter set as stable/unstable with threshold distances."""
+    """Classify a parameter set as stable/unstable."""
     l_crit = lambda_critical(params.kappa, params.delta_a)
-    l_co = lambda_coalescence(params.kappa, params.delta_a)
-    stable = params.lam < l_crit
-    return StabilityReport(
-        stable=stable,
-        lambda_co=l_co,
-        lambda_crit=l_crit,
-        margin=l_crit - params.lam,
-        margin_to_coalescence=None if l_co is None else l_co - params.lam,
-    )
+    return StabilityReport(stable=params.lam < l_crit, lambda_crit=l_crit)
 
 
 def frame_of(params: OscillatorParams) -> BogoliubovFrame:

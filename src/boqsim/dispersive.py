@@ -1,6 +1,5 @@
 """Dispersive-coupling theory for a qubit/transmon coupled to a squeezed
-oscillator: enhanced chi, second-order frequency renormalizations, dressed
-loss-operator coefficients, and pump-amplitude conversion.
+oscillator: enhanced chi and second-order frequency renormalizations.
 """
 
 from __future__ import annotations
@@ -39,26 +38,6 @@ class DispersiveResult:
     @property
     def dispersive_valid(self) -> bool:
         return self.eta < DISPERSIVE_ETA_MAX
-
-
-@dataclass(frozen=True)
-class DressedLossRates:
-    """Coefficients of the dressed loss operators (MHz^(1/2) x dimensionless).
-
-    For operators acting on both mode and qubit, the reported scalar is the
-    Euclidean norm of the (alpha, alpha^dagger) coefficient pair.  Their
-    Lindblad weights are third order in eta and are therefore excluded from
-    the second-order master equation.
-    """
-
-    purcell_down: float
-    purcell_up: float
-    dressed_dephasing: float
-    dressed_excitation: float
-    dressed_relaxation: float
-    kappa: float
-    gamma_1: float
-    gamma_phi: float
 
 
 def _detunings(delta_q: float, frame: BogoliubovFrame) -> tuple[float, float]:
@@ -116,44 +95,3 @@ def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
     return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
                             chi_anomalous=chi_anom, eta=eta,
                             delta_q_2=delta_q_2)
-
-
-def dressed_losses(q: TransmonParams, frame: BogoliubovFrame,
-                   kappa: float) -> DressedLossRates:
-    """Composite loss-operator coefficients after the dispersive transform."""
-    g = q.g
-    delta_big, sigma_big = _detunings(q.delta_q, frame)
-    ch, sh = math.cosh(frame.r), math.sinh(frame.r)
-    sk = math.sqrt(kappa)
-    purcell_down = sk * (g * ch * ch / delta_big - g * sh * sh / sigma_big)
-    purcell_up = sk * g * ch * sh * (1.0 / delta_big - 1.0 / sigma_big)
-    s1 = math.sqrt(q.gamma_1)
-    sphi = math.sqrt(q.gamma_phi / 2.0)
-    dressed_dephasing = s1 * math.hypot(g * ch / delta_big, g * sh / sigma_big)
-    # the sigma+ and sigma- parts of the first-order correction to
-    # sqrt(gamma_phi/2) sigma_z: that correction is Hermitian, so their
-    # coefficients are complex conjugates and the two rates are one norm
-    dressed_flip = sphi * math.hypot(2.0 * g * ch / delta_big,
-                                     2.0 * g * sh / sigma_big)
-    return DressedLossRates(
-        purcell_down=purcell_down,
-        purcell_up=purcell_up,
-        dressed_dephasing=dressed_dephasing,
-        dressed_excitation=dressed_flip,
-        dressed_relaxation=dressed_flip,
-        kappa=kappa, gamma_1=q.gamma_1, gamma_phi=q.gamma_phi)
-
-
-def pump_to_lambda(epsilon_p: float, g3: float, freq_a: float
-                   ) -> tuple[float, float]:
-    """Convert a pump amplitude to the two-photon amplitude.
-
-    lam = 2 g3 epsilon_p / freq_a.  Also returns the RWA-validity ratio
-    g3 * Pi / nu_p with Pi ~ epsilon_p / (3 nu_a) and nu_p ~ 2 nu_a.
-    """
-    if freq_a <= 0:
-        raise ValueError("freq_a must be positive")
-    lam = 2.0 * g3 * epsilon_p / freq_a
-    pi_amp = epsilon_p / (3.0 * freq_a)
-    rwa_ratio = g3 * pi_amp / (2.0 * freq_a)
-    return lam, rwa_ratio

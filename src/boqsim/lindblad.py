@@ -41,10 +41,11 @@ At the benchmark's points one-pass picks have residuals below 4e-17 ||B||_1
 and match a machine-precision run to 3e-16 relative; a one-pass pick that
 fails the bound (seen with the qubit on the oscillator) is recomputed too.
 Truncation: every entry point takes n_fock, the Fock truncation, with None
-meaning default_n_fock(p, drive).  One function, _sizing, reads the pump's
-regime and gives both the estimated occupation (n_d cosh^2 r + sinh^2 r
-detuned, the closed-form n + n_d on resonance) and default_n_fock =
-max(16, ceil(12 A + 10 n + 10)), A the anti-squeezing e^{2r} or S_inf.
+meaning the default truncation max(16, ceil(12 A + 10 n + 10)), A the
+anti-squeezing e^{2r} (S_inf on resonance) and n the estimated occupation
+(n_d cosh^2 r + sinh^2 r detuned, the closed-form n + n_d on resonance).
+One function, _sizing, reads the pump's regime and gives both; the
+truncation a run used is its result's n_fock.
 build_liouvillian, chi_exact and qubit_shift_dephasing (at lam = 0 too)
 refuse, with TruncationError and before any allocation, n_fock < 4, a
 truncation whose estimated occupation exceeds n_fock/4, or one with more
@@ -108,8 +109,8 @@ _CONVERGENCE_FACTOR = 1e-6
 _EIG_RESIDUAL = 1e-13
 # largest Liouvillian build_liouvillian accepts, in unknowns (n_fock *
 # n_levels)^2.  A steady state at the budget takes ~0.8 GB and ~5 s
-# (resonant, n_fock = 724); default_n_fock at lam = 0.99 kappa/2 would ask
-# for 2.1M unknowns, whose LU fill would exhaust a machine's memory
+# (resonant, n_fock = 724); the default truncation at lam = 0.99 kappa/2
+# would ask for 2.1M unknowns, whose LU fill would exhaust a machine's memory
 _MAX_UNKNOWNS = 2 ** 19
 
 
@@ -151,13 +152,6 @@ def _sizing(p: OscillatorParams, drive: DriveSpec | None) -> tuple[float, int]:
             f"cannot size the truncation for lam = {p.lam} >= |delta_a| = "
             f"{abs(p.delta_a)}")
     return occ, max(16, math.ceil(12.0 * anti + 10.0 * occ + 10.0))
-
-
-def default_n_fock(p: OscillatorParams, drive: DriveSpec | None = None) -> int:
-    """Truncation sized to the slow Fock-space tails of squeezed states:
-    max(16, ceil(12 A + 10 n + 10)), A the anti-squeezing and n the
-    estimated occupation (see _sizing)."""
-    return _sizing(p, drive)[1]
 
 
 def destroy(n: int) -> np.ndarray:
@@ -222,7 +216,7 @@ def _dissipator(c: np.ndarray) -> sp.csc_matrix:
 
 def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
                       n_fock: int | None, n_levels: int) -> int:
-    """The truncation to use, default_n_fock(p, drive) when n_fock is None.
+    """The truncation to use, _sizing's default when n_fock is None.
     Refuses, before allocating, n_fock < 4, an estimated occupation over
     n_fock/4 and more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
     if n_fock is not None and n_fock < 4:
@@ -247,7 +241,8 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
                       drive: DriveSpec | None = None,
                       n_fock: int | None = None) -> LiouvillianMatrix:
     """Assemble the Lindblad superoperator in the truncated product space
-    (n_fock None: default_n_fock(p, drive)).
+    (n_fock None: the default truncation for p and drive, see the module
+    docstring).
 
     H = delta_a a^dag a - (lam/2)(a^2 + a^dag^2) [+ transmon levels +
     g sqrt(k+1) exchange] [+ (eps_d/2) a + h.c.]; dissipators sqrt(kappa) a,
@@ -461,8 +456,8 @@ class OracleShift:
 def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
                           n_fock: int | None = None) -> OracleShift:
     """Qubit frequency shift and induced dephasing from the coherence-sector
-    Liouvillian eigenvalue at truncation n_fock (None: default_n_fock(p)),
-    referenced to the pump-off run.
+    Liouvillian eigenvalue at truncation n_fock (None: the default
+    truncation for p), referenced to the pump-off run.
 
     The |g><e| coherence evolves at +i delta_q under the bare Hamiltonian, so
     the dressed qubit frequency is Im(eig) and its linewidth is -Re(eig);
@@ -502,8 +497,8 @@ def _oracle_eigenvalue(p: OscillatorParams, q: TransmonParams,
 def chi_exact(p: OscillatorParams, q: TransmonParams,
               n_fock: int | None = None) -> float:
     """Dispersive strength from exact diagonalization of the joint
-    Hamiltonian in the bare frame at truncation n_fock (None:
-    default_n_fock(p)): the qubit-frequency shift per Bogoliubov
+    Hamiltonian in the bare frame at truncation n_fock (None: the default
+    truncation for p): the qubit-frequency shift per Bogoliubov
     excitation, chi = (E_e1 - E_e0) - (E_g1 - E_g0).
 
     Eigenstates are identified by maximal overlap with the squeezed-Fock

@@ -1,6 +1,6 @@
 """Frequency-domain input-output responses of the pumped oscillator and the
-qubit: signal/idler reflection, gain summaries, and the coupled anticrossing
-response.
+qubit: signal/idler reflection, gain summaries and bandwidths, and the qubit
+reflection line.
 
 All probe frequencies `omega` are detunings from half the pump frequency
 (rotating frame), in MHz, except gamma_qubit which takes absolute frequency.
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import (OscillatorParams, StabilityError, lambda_coalescence,
-                   lambda_critical, validate)
+from .core import OscillatorParams, StabilityError, validate
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class ComplexSpectrum:
 
     freqs: np.ndarray
     values: np.ndarray
-    kind: str = "signal"  # signal | idler | qubit | coupled
+    kind: str = "signal"  # signal | qubit
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -48,14 +47,12 @@ class PeakInfo:
 
 @dataclass(frozen=True)
 class GainSummary:
-    """Peak gain, 3 dB bandwidth and regime thresholds."""
+    """Peak gain and 3 dB bandwidth of the highest top, and every top."""
 
     g_max: float
     peak_freq: float
     bw_3db: float
     n_peaks: int
-    lambda_co: float | None
-    lambda_crit: float
     peaks: tuple[PeakInfo, ...] = ()
 
 
@@ -221,10 +218,7 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
     best = max(uniq, key=lambda q: q.gain)
     return GainSummary(
         g_max=best.gain, peak_freq=best.freq, bw_3db=best.bw_3db,
-        n_peaks=len(uniq),
-        lambda_co=lambda_coalescence(p.kappa, p.delta_a),
-        lambda_crit=lambda_critical(p.kappa, p.delta_a),
-        peaks=tuple(uniq))
+        n_peaks=len(uniq), peaks=tuple(uniq))
 
 
 def fit_bandwidth(p: OscillatorParams) -> tuple[float, bool]:
@@ -241,7 +235,8 @@ def fit_bandwidth(p: OscillatorParams) -> tuple[float, bool]:
         FWHM = 2 C / sqrt(kappa^2 - 2 C)
 
     Returns (fwhm, split).  The split-peak value tends to kappa deep in the
-    detuned regime (gain-independent bandwidth) and diverges at coalescence.
+    detuned regime (gain-independent bandwidth).  Both diverge at
+    coalescence, C = kappa^2/2, where (inf, False) is returned.
     """
     _check_stable(p)
     k, d, l = p.kappa, p.delta_a, p.lam
@@ -249,22 +244,21 @@ def fit_bandwidth(p: OscillatorParams) -> tuple[float, bool]:
     u_pk = c - k * k / 2.0
     if u_pk > 0.0:
         return k * math.sqrt(1.0 + k * k / (4.0 * u_pk)), True
+    if u_pk == 0.0:
+        return math.inf, False
     return 2.0 * c / math.sqrt(k * k - 2.0 * c), False
 
 
-def gmax_resonant(p: OscillatorParams) -> float:
-    """Closed-form maximum power gain for |delta_a| < kappa/2 (at omega = 0).
-
-    G = 1 + kappa^2 lam^2 / (kappa^2/4 + delta_a^2 - lam^2)^2.
-    """
-    k, d, l = p.kappa, p.delta_a, p.lam
-    return 1.0 + k * k * l * l / (k * k / 4.0 + d * d - l * l) ** 2
-
-
 def lambda_for_gain(kappa: float, g_target: float) -> float:
-    """Invert gmax_resonant at delta_a = 0 for the pump amplitude."""
-    if g_target < 1.0:
-        raise ValueError("target gain must be >= 1")
+    """Pump amplitude at delta_a = 0 whose peak power gain (at omega = 0),
+    G = 1 + kappa^2 lam^2 / (kappa^2/4 - lam^2)^2, is g_target:
+
+        lam = (kappa/2) sqrt((sqrt(G) - 1) / (sqrt(G) + 1)).
+
+    A target outside [1, inf), nan included, raises ValueError.
+    """
+    if not 1.0 <= g_target < math.inf:
+        raise ValueError(f"target gain must be in [1, inf), got {g_target}")
     sq = math.sqrt(g_target)
     return kappa / 2.0 * math.sqrt((sq - 1.0) / (sq + 1.0))
 
@@ -284,16 +278,3 @@ def qubit_spectrum(freqs, nu_q: float, gamma_1: float, gamma_t: float
     return ComplexSpectrum(freqs=np.asarray(freqs, dtype=float),
                            values=gamma_qubit(freqs, nu_q, gamma_1, gamma_t),
                            kind="qubit")
-
-
-def gamma_coupled(omega, nu_a: float, kappa: float, nu_q: float,
-                  gamma_t: float, g: float) -> complex | np.ndarray:
-    """Pump-off reflection of the oscillator hybridized with the qubit.
-
-    Gamma = -1 + kappa / (kappa/2 - i(omega - nu_a)
-                          + g^2/(gamma_t/2 - i(omega - nu_q))).
-    """
-    w = np.asarray(omega, dtype=float)
-    out = -1.0 + kappa / (kappa / 2.0 - 1j * (w - nu_a)
-                          + g * g / (gamma_t / 2.0 - 1j * (w - nu_q)))
-    return out if np.ndim(out) else complex(out)

@@ -1,6 +1,6 @@
-"""Qubit spectral observables under squeezed photons: occupation, the
-squeezed-vacuum number correlation, Lamb/AC-Stark shifts and induced
-dephasing, for the detuned (Bogoliubov) regime and the resonant-pump regime.
+"""Qubit spectral observables under squeezed photons: occupation,
+Lamb/AC-Stark shifts and induced dephasing, for the detuned (Bogoliubov)
+regime and the resonant-pump regime.
 
 Rates in MHz; correlation lags in the matching 1/MHz time unit, so a rate
 kappa decays as exp(-kappa * tau).
@@ -35,14 +35,6 @@ class SpectralShift:
     d_gamma_phi: float
     parts: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class CorrelationCurve:
-    """Number-operator correlation C(tau) on a lag grid."""
-
-    taus: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,35 +196,27 @@ def resonant_driven_shift(p: OscillatorParams, chi_0: float,
                          parts=parts)
 
 
-def number_correlation(frame: BogoliubovFrame, drive: DriveSpec,
-                       kappa: float, taus) -> CorrelationCurve:
-    """Number-operator correlation of the (possibly driven) oscillator in
-    the squeezed vacuum:
+def dephasing_from_correlation(chi: float, frame: BogoliubovFrame,
+                               drive: DriveSpec, kappa: float) -> float:
+    """Induced dephasing chi^2 * integral_0^inf C(tau) dtau by quadrature,
+    with C the number-operator correlation of the (possibly driven)
+    oscillator in the squeezed vacuum:
 
     C = sinh^2 r (1 + sinh^2 r) e^{-kappa|tau|}
         + n_d cosh^2 r (1 + 2 sinh^2 r) e^{-kappa|tau|/2}
-    """
-    taus = np.asarray(taus, dtype=float)
-    at = np.abs(taus)
-    sh2, ch2 = frame.sinh2, frame.cosh2
-    vals = (sh2 * (1.0 + sh2) * np.exp(-kappa * at)
-            + drive.n_d * ch2 * (1.0 + 2.0 * sh2)
-            * np.exp(-kappa * at / 2.0))
-    return CorrelationCurve(taus=taus, values=vals)
 
-
-def dephasing_from_correlation(chi: float, frame: BogoliubovFrame,
-                               drive: DriveSpec, kappa: float) -> float:
-    """Induced dephasing chi^2 * integral_0^inf C(tau) dtau by quadrature.
-
-    Adaptive quadrature of the squeezed-vacuum correlator over
-    [0, 60/kappa] (truncation error ~ e^{-30}); independent of the
-    closed-form dephasing expressions it is used to check.
+    Adaptive quadrature over [0, 60/kappa] (truncation error ~ e^{-30});
+    independent of the closed-form dephasing expressions it is used to
+    check.
     """
     from scipy.integrate import quad
 
+    sh2, ch2 = frame.sinh2, frame.cosh2
+
     def c_of_tau(t):
-        return number_correlation(frame, drive, kappa, [t]).values[0]
+        return (sh2 * (1.0 + sh2) * np.exp(-kappa * t)
+                + drive.n_d * ch2 * (1.0 + 2.0 * sh2)
+                * np.exp(-kappa * t / 2.0))
 
     val, _ = quad(c_of_tau, 0.0, 60.0 / kappa, limit=400, epsabs=0.0,
                   epsrel=1e-12)

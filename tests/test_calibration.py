@@ -11,7 +11,6 @@ from boqsim import (
     OscillatorParams,
     add_complex_noise,
     fit_chi_enhanced,
-    fit_chi_n0,
     fit_circle,
     fit_lambda,
     fit_straddling,
@@ -90,42 +89,6 @@ class TestFitCircle:
         spec = ComplexSpectrum(freqs=freqs, values=vals, kind="qubit")
         with pytest.raises(DegenerateFitError, match="arc coverage"):
             fit_circle(spec)
-
-
-class TestFitChiN0:
-    POWERS = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-
-    def datasets(self, chis, p0, with_dephasing=True):
-        out = []
-        for chi in chis:
-            n_d = self.POWERS / p0
-            deph = 2.0 * chi * chi * n_d / KAPPA if with_dephasing else None
-            out.append((self.POWERS, chi * n_d, deph))
-        return out
-
-    def test_joint_recovery(self):
-        rep = fit_chi_n0(self.datasets([-0.26, -0.12], 3.5), KAPPA)
-        assert rep.params["chi_0"] == pytest.approx(-0.26, rel=1e-6)
-        assert rep.params["chi_1"] == pytest.approx(-0.12, rel=1e-6)
-        assert rep.params["p0"] == pytest.approx(3.5, rel=1e-6)
-
-    def test_single_detuning_with_dephasing_identifiable(self):
-        rep = fit_chi_n0(self.datasets([-0.26], 3.5), KAPPA)
-        assert rep.params["p0"] == pytest.approx(3.5, rel=1e-6)
-
-    def test_single_detuning_without_dephasing_degenerate(self):
-        with pytest.raises(DegenerateFitError, match="degenerate"):
-            fit_chi_n0(self.datasets([-0.26], 3.5, with_dephasing=False),
-                       KAPPA)
-
-    def test_empty_input(self):
-        with pytest.raises(DegenerateFitError):
-            fit_chi_n0([], KAPPA)
-
-    def test_zero_powers_carry_no_information(self):
-        zeros = np.zeros(4)
-        with pytest.raises(DegenerateFitError, match="zero drive"):
-            fit_chi_n0([(zeros, zeros, zeros)], KAPPA)
 
 
 class TestFitStraddling:

@@ -97,16 +97,13 @@ class TestStabilityThresholds:
         rep = validate(OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0,
                                         lam=17.0))
         assert rep.stable
-        assert rep.margin == pytest.approx(rep.lambda_crit - 17.0)
-        assert rep.margin_to_coalescence == pytest.approx(
-            rep.lambda_co - 17.0)
+        assert rep.lambda_crit == lambda_critical(8.7, 30.0)
 
     def test_validate_unstable(self):
         rep = validate(OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                                         lam=5.0))
         assert not rep.stable
-        assert rep.margin < 0
-        assert rep.margin_to_coalescence is None
+        assert rep.lambda_crit == lambda_critical(8.7, 0.0) < 5.0
 
 
 class TestBogoliubovFrame:

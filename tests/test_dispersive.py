@@ -1,4 +1,4 @@
-"""Dispersive coupling strengths, dressed losses, pump conversion."""
+"""Dispersive coupling strengths."""
 
 import dataclasses
 import math
@@ -9,9 +9,7 @@ from boqsim import (
     OscillatorParams,
     TransmonParams,
     chi_transmon,
-    dressed_losses,
     frame_of,
-    pump_to_lambda,
 )
 from boqsim.core import BogoliubovFrame
 
@@ -103,35 +101,3 @@ class TestChiTransmon:
                   / (80.0 ** 2 - frame.omega_bog ** 2))
         assert chi_transmon(Q, frame).chi_anomalous == pytest.approx(
             expect, rel=1e-14)
-
-
-class TestDressedLosses:
-    def test_zero_pump_purcell(self):
-        rates = dressed_losses(Q, FRAME0, kappa=8.7)
-        assert rates.purcell_down == pytest.approx(
-            math.sqrt(8.7) * 4.9 / (-100.0))
-        assert rates.purcell_up == 0.0
-
-    def test_pump_activates_upconversion(self):
-        rates = dressed_losses(Q, frame_at(20.0, 17.0), kappa=8.7)
-        assert rates.purcell_up != 0.0
-
-    def test_dephasing_channels_positive(self):
-        rates = dressed_losses(Q, frame_at(20.0, 17.0), kappa=8.7)
-        assert rates.dressed_dephasing > 0
-        assert rates.dressed_excitation == pytest.approx(
-            rates.dressed_relaxation)
-
-
-class TestPumpConversion:
-    def test_linear_in_pump(self):
-        lam, _ = pump_to_lambda(epsilon_p=100.0, g3=20.0, freq_a=6940.0)
-        assert lam == pytest.approx(2.0 * 20.0 * 100.0 / 6940.0)
-
-    def test_rwa_ratio_small_at_weak_pump(self):
-        _, ratio = pump_to_lambda(epsilon_p=100.0, g3=20.0, freq_a=6940.0)
-        assert 0 < ratio < 1e-3
-
-    def test_requires_positive_frequency(self):
-        with pytest.raises(ValueError):
-            pump_to_lambda(1.0, 1.0, 0.0)

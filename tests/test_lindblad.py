@@ -23,7 +23,6 @@ from boqsim import (
     build_liouvillian,
     chi_exact,
     chi_transmon,
-    default_n_fock,
     frame_of,
     qubit_shift_dephasing,
     resonant_driven_shift,
@@ -53,8 +52,9 @@ class TestConfig:
                     run(p, Q_OP, n_fock=3)
 
     def test_default_truncation_is_default_n_fock(self):
+        # without a drive, every entry point sizes its default by p alone
         p = dataclasses.replace(P_OP, lam=6.0)
-        n_fock = default_n_fock(p)
+        n_fock = build_liouvillian(p).n_fock
         assert (qubit_shift_dephasing(p, Q_OP)
                 == qubit_shift_dephasing(p, Q_OP, n_fock))
         assert chi_exact(p, Q_OP) == chi_exact(p, Q_OP, n_fock)
@@ -71,12 +71,13 @@ class TestConfig:
 
     def test_default_n_fock_scales_with_antisqueezing(self):
         mild = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=5.0)
-        assert default_n_fock(P_OP) > default_n_fock(mild) >= 16
+        assert (build_liouvillian(P_OP).n_fock
+                > build_liouvillian(mild).n_fock >= 16)
 
     def test_default_n_fock_unstable(self):
         with pytest.raises(UnstableDynamics):
-            default_n_fock(OscillatorParams(freq_a=0.0, kappa=8.7,
-                                            delta_a=0.0, lam=5.0))
+            build_liouvillian(OscillatorParams(freq_a=0.0, kappa=8.7,
+                                               delta_a=0.0, lam=5.0))
 
     @pytest.mark.parametrize("lam,error", [
         # stable (lambda_crit = 20.468), but lam >= |delta_a| leaves no
@@ -88,7 +89,7 @@ class TestConfig:
             self, lam, error):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=lam)
         match = "size the truncation" if error is TruncationError else "crit"
-        for run in (lambda: default_n_fock(p),
+        for run in (lambda: build_liouvillian(p),
                     lambda: build_liouvillian(p, n_fock=64),
                     lambda: qubit_shift_dephasing(p, Q_OP)):
             with pytest.raises(error, match=match):
@@ -917,7 +918,7 @@ class TestFactorizedSolve:
 
 class TestUnknownsBudget:
     @pytest.mark.parametrize("p,q,n_fock", [
-        # default_n_fock sizes the resonant lam = 0.99 kappa/2 case at
+        # the default truncation of the resonant lam = 0.99 kappa/2 case is
         # n_fock = 1457: 2.1M unknowns
         (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                           lam=0.99 * 8.7 / 2.0), None, None),
@@ -943,4 +944,5 @@ class TestUnknownsBudget:
         # oracle_compare's 2x truncation check at lam = 0.9 kappa/2
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                              lam=0.9 * 8.7 / 2.0)
-        assert (2 * default_n_fock(p)) ** 2 == 92416 <= lindblad._MAX_UNKNOWNS
+        n_fock = build_liouvillian(p).n_fock
+        assert (2 * n_fock) ** 2 == 92416 <= lindblad._MAX_UNKNOWNS

@@ -27,11 +27,9 @@ from boqsim import (
     StabilityError,
     fit_bandwidth,
     gain_summary,
-    gamma_coupled,
     gamma_idler,
     gamma_qubit,
     gamma_signal,
-    gmax_resonant,
     lambda_critical,
     lambda_for_gain,
     peak_gain,
@@ -95,8 +93,8 @@ class TestGainSummary:
         summ = gain_summary(P_RESONANT, np.linspace(-40, 40, 801))
         assert summ.n_peaks == 1
         assert summ.peak_freq == pytest.approx(0.0, abs=1e-6)
-        assert summ.g_max == pytest.approx(gmax_resonant(P_RESONANT),
-                                           rel=1e-9)
+        expect = abs(langevin_oracle(P_RESONANT, 0.0)[0]) ** 2
+        assert summ.g_max == pytest.approx(expect, rel=1e-9)
 
     def test_detuned_split_peaks_near_sideband_frequencies(self):
         summ = gain_summary(P_DETUNED, np.linspace(-70, 70, 2001))
@@ -420,19 +418,28 @@ class TestPeakCandidates:
 
 class TestClosedFormGain:
     def test_gmax_resonant_matches_oracle(self):
+        # the resonant peak gain that lambda_for_gain inverts,
+        # G = 1 + kappa^2 lam^2 / (kappa^2/4 + delta_a^2 - lam^2)^2
+        k, d, l = P_RESONANT.kappa, P_RESONANT.delta_a, P_RESONANT.lam
+        closed = 1.0 + k * k * l * l / (k * k / 4.0 + d * d - l * l) ** 2
         expect = abs(langevin_oracle(P_RESONANT, 0.0)[0]) ** 2
-        assert gmax_resonant(P_RESONANT) == pytest.approx(expect, rel=1e-12)
+        assert closed == pytest.approx(expect, rel=1e-12)
+        assert abs(gamma_signal(P_RESONANT, 0.0)) ** 2 == pytest.approx(
+            expect, rel=1e-12)
 
     @pytest.mark.parametrize("g_db", [3.0, 6.0, 9.0, 12.0, 20.0])
     def test_lambda_for_gain_round_trip(self, g_db):
         g = 10.0 ** (g_db / 10.0)
         lam = lambda_for_gain(8.7, g)
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=lam)
-        assert gmax_resonant(p) == pytest.approx(g, rel=1e-12)
+        gain = abs(langevin_oracle(p, 0.0)[0]) ** 2
+        assert gain == pytest.approx(g, rel=1e-12)
 
     def test_lambda_for_gain_rejects_attenuation(self):
-        with pytest.raises(ValueError):
-            lambda_for_gain(8.7, 0.5)
+        # nan < 1 is False, so a bare lower bound would let nan through
+        for g_target in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="target gain"):
+                lambda_for_gain(8.7, g_target)
 
 
 class TestFitBandwidth:
@@ -475,6 +482,13 @@ class TestFitBandwidth:
         assert split
         assert fwhm == pytest.approx(8.7, rel=1e-3)
 
+    def test_width_diverges_at_coalescence(self):
+        # C = kappa^2/4 + delta_a^2 - lam^2 is kappa^2/2 exactly in floats
+        for kappa, delta_a, lam in ((6.0, 5.0, 4.0), (8.7, 4.35, 0.0)):
+            p = OscillatorParams(freq_a=0.0, kappa=kappa, delta_a=delta_a,
+                                 lam=lam)
+            assert fit_bandwidth(p) == (math.inf, False)
+
 
 class TestSpectrumSerialization:
     def test_requires_increasing_grid(self):
@@ -502,10 +516,3 @@ class TestQubitReflection:
     def test_rate_ordering_enforced(self):
         with pytest.raises(ValueError):
             gamma_qubit(0.0, nu_q=0.0, gamma_1=5.0, gamma_t=4.0)
-
-    def test_coupled_response_has_two_dips(self):
-        w = np.linspace(6900.0, 6980.0, 4001)
-        vals = np.abs(gamma_coupled(w, nu_a=6940.0, kappa=8.7, nu_q=6941.0,
-                                    gamma_t=9.4, g=4.9))
-        interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
-        assert int(np.sum(interior)) == 2

@@ -23,7 +23,6 @@ from boqsim import (
     chi_transmon,
     dephasing_from_correlation,
     frame_of,
-    number_correlation,
     resonant_driven_shift,
     resonant_steady_state,
     shift_driven,
@@ -222,13 +221,6 @@ class TestResonantDrivenShift:
 
 
 class TestCorrelation:
-    def test_zero_lag_squeezed_vacuum(self):
-        frame = frame_of(P_DETUNED)
-        curve = number_correlation(frame, DriveSpec(n_d=0.3), 8.7, [0.0])
-        sh2, ch2 = frame.sinh2, frame.cosh2
-        assert curve.values[0] == pytest.approx(
-            sh2 * (1.0 + sh2) + 0.3 * ch2 * (1.0 + 2.0 * sh2))
-
     def test_quadrature_reproduces_closed_form_dephasing(self):
         frame = frame_of(P_DETUNED)
         drive = DriveSpec(n_d=0.4)
