@@ -20,6 +20,21 @@ eigenvalue in the odd block; a coherent drive breaks the symmetry, and the
 same functions then work in the full space.  Every steady state is still
 checked against the residual of the full Liouvillian.
 
+Resonant oscillator alone: at delta_a = 0, undriven and without a transmon,
+U = exp(i pi a^dag a / 4) maps H = -(lam/2)(a^2 + a^dag^2) to
+(i lam/2)(a^2 - a^dag^2) and leaves kappa D[a] as it is, so the Liouvillian
+acting on rho' = U rho U^dag is real.  In vec terms that is a diagonal
+similarity, rho'[i, j] = 1j^((i - j)/2) rho[i, j]; in the even sector i - j
+is even, every phase is exactly 1, 1j, -1 or -1j, and the gauged block is
+real bit for bit (the solve checks that, and raises otherwise).  The real,
+Hermitian rho' is symmetric, so the steady state is solved for rho'[i, j]
+with i <= j and i + j even: about dim^2/4 real unknowns instead of dim^2/2
+complex ones, with the same trace row and LU.  Every other steady state
+keeps the complex sector solve, as no diagonal similarity makes it real: a
+detuning delta_a puts -i delta_a (i - j) on the diagonal, the transmon's
+level detunings do the same, and a coherent drive mixes the sectors with a
+phase of its own.
+
 Sparse LU: every factorization (_factorize) orders the columns by minimum
 degree on A^T + A and pivots with threshold 0.1, preferring the diagonal
 (SuperLU's symmetric mode; X. S. Li, ACM TOMS 31, 302 (2005)).  The
@@ -107,10 +122,16 @@ _CONVERGENCE_FACTOR = 1e-6
 # relative to ||B||_1 (found below 1e-16 over random undriven systems and on
 # the benchmark's operating points)
 _EIG_RESIDUAL = 1e-13
+# qubit_shift_dephasing treats lam <= _PUMP_FLOOR * max(|delta_a|, kappa) as
+# lam = 0; such a pump moves the coherence eigenvalue by O(lam^2), ~1e-40
+# relative, where one Arnoldi pass can miss a comparable runner-up
+_PUMP_FLOOR = 1e-20
 # largest Liouvillian build_liouvillian accepts, in unknowns (n_fock *
-# n_levels)^2.  A steady state at the budget takes ~0.8 GB and ~5 s
-# (resonant, n_fock = 724); the default truncation at lam = 0.99 kappa/2
-# would ask for 2.1M unknowns, whose LU fill would exhaust a machine's memory
+# n_levels)^2.  A steady state at the budget (n_fock = 724, one core) peaks
+# at ~0.8 GB and takes ~5 s through the complex sector (detuned, lam = 17),
+# ~0.35 GB and 2-4 s for the resonant oscillator's real half; the default
+# truncation at lam = 0.99 kappa/2 would ask for 2.1M unknowns, whose LU
+# fill would exhaust a machine's memory
 _MAX_UNKNOWNS = 2 ** 19
 
 
@@ -287,11 +308,16 @@ class SteadyStateResult:
     n_fock: int
 
 
+def _driven(liou: LiouvillianMatrix) -> bool:
+    """Whether a coherent drive breaks the excitation-parity symmetry."""
+    return liou.drive is not None and liou.drive.n_d > 0.0
+
+
 def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:
     """Sorted vec(rho) indices of the excitation-parity sector `parity`
     (0 even, 1 odd); every index when a coherent drive breaks the symmetry."""
     n_vec = liou.dim * liou.dim
-    if liou.drive is not None and liou.drive.n_d > 0.0:
+    if _driven(liou):
         return np.arange(n_vec)
     basis = np.arange(liou.dim)
     par = (basis // liou.n_fock + basis % liou.n_fock) % 2
@@ -308,7 +334,9 @@ def _factorize(mat: sp.spmatrix) -> spla.SuperLU:
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
-def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
+def _sector_rho(liou: LiouvillianMatrix) -> np.ndarray:
+    """Steady state from the even parity sector (the full space when
+    driven), complex."""
     dim = liou.dim
     sec = _parity_sector(liou, 0)
     # replace the first equation (that of rho[0, 0], sec[0]) by the
@@ -321,7 +349,68 @@ def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
     rhs[0] = 1.0
     vec = np.zeros(dim * dim, dtype=complex)
     vec[sec] = _factorize(mat).solve(rhs)
-    rho = vec.reshape((dim, dim), order="F")
+    return vec.reshape((dim, dim), order="F")
+
+
+def _gauge(dim: int) -> np.ndarray:
+    """g[i, j] = 1j^((i - j)/2), exactly 1, 1j, -1 or -1j; rho' = g * rho is
+    U rho U^dag, U = exp(i pi a^dag a / 4), on the even sector (where i - j
+    is even; the entries elsewhere are not used)."""
+    steps = np.subtract.outer(np.arange(dim), np.arange(dim)) // 2
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[steps % 4]
+
+
+def _symmetric_half_system(liou: LiouvillianMatrix
+                           ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """(matrix, i, j): the gauged Liouvillian on the unknowns rho'[i, j],
+    i <= j and i + j even, row by row (rho'[0, 0] first), the equation of
+    rho'[0, 0] replaced by the unit-trace condition.  The matrix is complex;
+    for the resonant, undriven oscillator alone its imaginary part is
+    exactly zero (see the module docstring)."""
+    dim = liou.dim
+    i, j = np.triu_indices(dim)
+    even = (i + j) % 2 == 0
+    i, j = i[even], j[even]
+    n = len(i)
+    # rho' is symmetric: both of its triangles map onto the one unknown
+    unknown = np.empty((dim, dim), dtype=int)
+    unknown[i, j] = unknown[j, i] = np.arange(n)
+    unknown = unknown.reshape(-1, order="F")
+    gauge = _gauge(dim).reshape(-1, order="F")
+    rows = i[1:] + j[1:] * dim
+    eqs = liou.matrix[rows].tocoo()
+    # L' = G L G^-1 entry by entry: each factor is a power of 1j, so every
+    # product is exact
+    data = eqs.data * gauge[rows][eqs.row] * np.conj(gauge[eqs.col])
+    diag = unknown[np.arange(dim) * (dim + 1)]
+    mat = sp.csc_matrix(
+        (np.concatenate([np.ones(dim), data]),
+         (np.concatenate([np.zeros(dim, dtype=int), eqs.row + 1]),
+          np.concatenate([diag, unknown[eqs.col]]))), shape=(n, n))
+    return mat, i, j
+
+
+def _real_symmetric_rho(liou: LiouvillianMatrix) -> np.ndarray:
+    """Steady state of the resonant, undriven oscillator alone from the
+    real, symmetric half of its gauged even sector."""
+    mat, i, j = _symmetric_half_system(liou)
+    if np.any(mat.data.imag != 0.0):
+        raise RuntimeError("the gauged resonant Liouvillian is not real")
+    rhs = np.zeros(mat.shape[0])
+    rhs[0] = 1.0
+    # .real is a strided view of the complex entries; SuperLU needs a copy
+    half = _factorize(mat.real.copy()).solve(rhs)
+    rho = np.zeros((liou.dim, liou.dim))
+    rho[i, j] = rho[j, i] = half
+    return rho * np.conj(_gauge(liou.dim))
+
+
+def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
+    if (liou.transmon is None and not _driven(liou)
+            and liou.params.delta_a == 0.0):
+        rho = _real_symmetric_rho(liou)
+    else:
+        rho = _sector_rho(liou)
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(liou.matrix @ rho.reshape(-1, order="F"))
     if not np.isfinite(residual) or residual > 1e-6 * max(
@@ -462,13 +551,17 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     The |g><e| coherence evolves at +i delta_q under the bare Hamiltonian, so
     the dressed qubit frequency is Im(eig) and its linewidth is -Re(eig);
     both are reported as pump-on minus pump-off differences.  The pump-off
-    eigenvalue is exact, from a 2x2 matrix (see the module docstring); at
-    lam = 0 it is the pump-on one too, both differences are 0.0, and no
-    Liouvillian is built, but n_fock still has to pass the truncation rules.
+    eigenvalue is exact, from a 2x2 matrix (see the module docstring).  At
+    lam = 0, and at any pump at or below the floor
+    lam = 1e-20 max(|delta_a|, kappa) (_PUMP_FLOOR), whose O(lam^2) effect
+    is ~1e-40 of the eigenvalue, far below double precision, it is the
+    pump-on one too: both differences are 0.0 and no Liouvillian is built,
+    but n_fock still has to pass the truncation rules.
     """
     _check_truncation(p, None, n_fock, q.n_levels)
     eig_off = _pump_off_eigenvalue(p, q)
-    eig_on = _oracle_eigenvalue(p, q, n_fock) if p.lam > 0.0 else eig_off
+    pumped = p.lam > _PUMP_FLOOR * max(abs(p.delta_a), p.kappa)
+    eig_on = _oracle_eigenvalue(p, q, n_fock) if pumped else eig_off
     return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,
                        d_gamma_phi=-(eig_on.real - eig_off.real),
                        eig_on=eig_on, eig_off=eig_off)

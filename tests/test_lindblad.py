@@ -524,6 +524,98 @@ class TestParitySectors:
         assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
 
 
+@st.composite
+def resonant_oscillators(draw):
+    """Resonant (delta_a = 0), undriven, oscillator-only (p, n_fock):
+    kappa in [2, 12], lam / lam_c in [0, 0.95), n_fock 6 to 40."""
+    kappa = draw(st.floats(2.0, 12.0))
+    ratio = draw(st.floats(0.0, 0.95, exclude_max=True))
+    p = OscillatorParams(freq_a=0.0, kappa=kappa, delta_a=0.0,
+                         lam=ratio * kappa / 2.0)
+    return p, draw(st.integers(6, 40))
+
+
+def _half_size(dim):
+    """Unknowns rho'[i, j] with i <= j and i + j even, counted one by one."""
+    return sum(1 for i in range(dim) for j in range(i, dim)
+               if (i + j) % 2 == 0)
+
+
+class TestRealSymmetricSteadyState:
+    """The resonant, undriven oscillator alone is solved from the real,
+    symmetric half of its gauged even sector; every other steady state keeps
+    the complex sector solve."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(resonant_oscillators())
+    # oracle_compare's top row, lam / lam_c = 0.9, at its default n_fock
+    @example((OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
+                               lam=0.9 * 8.7 / 2.0), 152))
+    def test_matches_full_space(self, system):
+        p, n_fock = system
+        try:
+            liou = build_liouvillian(p, n_fock=n_fock)
+        except TruncationError:
+            assume(False)
+        rho = lindblad._solve_steady_rho(liou)
+        assert np.max(np.abs(rho - _full_space_rho(liou))) <= 1e-10
+
+    @pytest.mark.parametrize("ratio,n_fock", [
+        (0.0, 8), (0.1, 16), (0.5, 40), (0.9, 152), (0.9, 304)])
+    def test_gauged_block_is_real_bit_for_bit(self, ratio, n_fock):
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
+                             lam=ratio * 8.7 / 2.0)
+        mat, i, j = lindblad._symmetric_half_system(
+            build_liouvillian(p, n_fock=n_fock))
+        assert mat.shape == (_half_size(n_fock),) * 2
+        assert np.all(i <= j) and np.all((i + j) % 2 == 0)
+        assert np.all(mat.data.imag == 0.0)
+        assert np.count_nonzero(mat.data.real) > 0
+
+    def test_complex_gauged_block_is_refused(self):
+        # a global phase leaves the steady state as it was but makes the
+        # gauged block complex: the solve raises instead of falling back
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=2.0)
+        liou = build_liouvillian(p, n_fock=16)
+        turned = dataclasses.replace(liou,
+                                     matrix=liou.matrix * np.exp(1e-3j))
+        with pytest.raises(RuntimeError, match="not real"):
+            lindblad._solve_steady_rho(turned)
+
+    @pytest.fixture
+    def factorized(self, monkeypatch):
+        """(dtype, shape) of every matrix _factorize is given."""
+        made = []
+        real = lindblad._factorize
+
+        def recording(mat):
+            made.append((mat.dtype, mat.shape))
+            return real(mat)
+
+        monkeypatch.setattr(lindblad, "_factorize", recording)
+        return made
+
+    def test_resonant_solves_factorize_real_halves(self, factorized):
+        # both of steady_state's solves, at n_fock and at 2 n_fock
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0)
+        steady_state(build_liouvillian(p, n_fock=20))
+        assert factorized == [(np.float64, (_half_size(n),) * 2)
+                              for n in (20, 40)]
+
+    @pytest.mark.parametrize("p,q,drive", [
+        (dataclasses.replace(P_OP, lam=6.0), None, None),
+        (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0),
+         dataclasses.replace(Q_OP, delta_q=-100.0), None),
+        (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0),
+         None, DriveSpec(n_d=0.5, theta=0.3)),
+    ], ids=["detuned", "joint", "driven"])
+    def test_other_solves_stay_complex(self, factorized, p, q, drive):
+        liou = build_liouvillian(p, q, drive, n_fock=8)
+        lindblad._solve_steady_rho(liou)
+        n = len(lindblad._parity_sector(liou, 0))
+        assert factorized == [(np.complex128, (n, n))]
+
+
 class TestPumpOffReference:
     """The pump-off reference is an eigenvalue of a 2x2 block, exact at any
     truncation and level count."""
@@ -553,11 +645,36 @@ class TestPumpOffReference:
         assert orc.d_gamma_phi == 0.0
         assert builds == []
 
+    def test_pump_below_the_floor_counts_as_zero(self, builds):
+        # lam = 4.47e-243: one Arnoldi pass returned a pick here in 7 of 8
+        # calls where a converged run refused (runner-up 0.690 against
+        # 0.724).  The pump-off reference refuses this point itself, every
+        # call alike; with the qubit moved off the oscillator it stands, and
+        # both differences are exactly 0.0.  No Liouvillian is built
+        p = OscillatorParams(freq_a=0.0, kappa=2.0, delta_a=5.0,
+                             lam=4.47e-243)
+        q = TransmonParams(delta_q=5.5, g=5.28125, chi_q=-80.0, gamma_1=1.0,
+                           gamma_phi=0.0, n_levels=2)
+        for _ in range(8):
+            with pytest.raises(lindblad.AmbiguousSector):
+                qubit_shift_dephasing(p, q, 6)
+        q_off = dataclasses.replace(q, delta_q=-75.0)
+        for _ in range(8):
+            orc = qubit_shift_dephasing(p, q_off, 6)
+            assert orc.d_omega_q == 0.0
+            assert orc.d_gamma_phi == 0.0
+        assert builds == []
+        # the truncation rules still apply below the floor
+        with pytest.raises(TruncationError, match="n_fock"):
+            qubit_shift_dephasing(p, q_off, 3)
+
     def test_sweep_builds_one_pair_per_pumped_call(self, builds):
-        for lam in (0.0, 4.0, 8.0):
+        # 2e-19 is the floor, 1e-20 max(|delta_a|, kappa): it counts as 0
+        for lam in (0.0, 2e-19, 1e-18, 4.0, 8.0):
             qubit_shift_dephasing(self.params(lam), Q_OP, self.N_FOCK)
         # each joint build comes with the oscillator-only one of its target
-        assert builds == [(4.0, 10, 3), (4.0, 10, 1),
+        assert builds == [(1e-18, 10, 3), (1e-18, 10, 1),
+                          (4.0, 10, 3), (4.0, 10, 1),
                           (8.0, 10, 3), (8.0, 10, 1)]
 
     @settings(max_examples=20, deadline=None)
