@@ -40,7 +40,7 @@ Q = TransmonParams(delta_q=-80.0, g=4.9, chi_q=-114.0, gamma_1=5.0,
 def main() -> None:
     print("=== Enhanced dispersive coupling vs pump amplitude ===")
     delta_a = 20.0
-    frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=delta_a)
+    frame0 = BogoliubovFrame(r=0.0, omega_bog=delta_a)
     chi0 = chi_transmon(Q, frame0, kappa=KAPPA).chi
     print(f"  bare chi[0] = {1e3 * chi0:.1f} kHz")
     for lam in (6.0, 12.0, 17.0, 19.0):
@@ -79,7 +79,7 @@ def main() -> None:
         q = TransmonParams(delta_q=delta_a - 100.0, g=4.9, chi_q=-114.0,
                            gamma_1=5.0, gamma_phi=2.2, n_levels=3)
         frame = frame_of(p)
-        f0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=delta_a)
+        f0 = BogoliubovFrame(r=0.0, omega_bog=delta_a)
         cr, c0 = (chi_transmon(q, fr, kappa=KAPPA) for fr in (frame, f0))
         res = shift_undriven(cr, c0, frame, KAPPA)
         print(f"  delta_a = {delta_a:+5.1f} MHz: shift = "

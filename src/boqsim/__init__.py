@@ -44,7 +44,7 @@ from .spectral import (
     bo_occupation,
     bogoliubov_moments,
     dephasing_from_correlation,
-    resonant_driven_shift,
+    resonant_shift,
     resonant_steady_state,
     shift_driven,
     shift_undriven,
@@ -53,7 +53,6 @@ from .spectral import (
 from .lindblad import (
     AmbiguousSector,
     LiouvillianMatrix,
-    OracleShift,
     SteadyStateResult,
     TruncationError,
     UnstableDynamics,

@@ -31,7 +31,6 @@ class FitReport:
 
     params: dict
     covariance: np.ndarray
-    residual_rms: float
     n_iter: int
     converged: bool
     flags: tuple[str, ...] = ()
@@ -46,12 +45,11 @@ class CircleModel:
     """Tilted-circle model of a reflection resonance.
 
     Gamma(omega) = offset + amp e^{i tilt} / (gamma_t/2 - i(omega - nu_q)),
-    tracing a circle of the given center/radius in the complex plane.
+    tracing a circle of radius amp/gamma_t in the complex plane.
     Reduces to the canonical qubit reflection when tilt = 0 and the
     accumulation point sits on the real axis.
     """
 
-    center: complex
     radius: float
     tilt: float
     nu_q: float
@@ -66,10 +64,9 @@ def _report(res, names, n_data) -> FitReport:
         cov = sigma2 * np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.full((len(names), len(names)), np.nan)
-    rms = math.sqrt(2.0 * res.cost / n_data)
     return FitReport(params=dict(zip(names, map(float, res.x))),
-                     covariance=cov, residual_rms=rms,
-                     n_iter=int(res.nfev), converged=bool(res.status > 0))
+                     covariance=cov, n_iter=int(res.nfev),
+                     converged=bool(res.status > 0))
 
 
 def add_complex_noise(spectrum: ComplexSpectrum, snr_db: float,
@@ -205,11 +202,9 @@ def fit_circle(spectrum: ComplexSpectrum
         xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL, max_nfev=MAX_ITER * 10)
     names = ["re_offset", "im_offset", "amp", "tilt", "nu_q", "gamma_t"]
     report = _report(res, names, 2 * len(freqs))
-    re_c, im_c, amp, tilt, nu_q, gamma_t = res.x
-    model = CircleModel(
-        center=complex(re_c, im_c) + amp * np.exp(1j * tilt) / gamma_t,
-        radius=float(amp / gamma_t), tilt=float(tilt), nu_q=float(nu_q),
-        gamma_t=float(gamma_t))
+    amp, tilt, nu_q, gamma_t = res.x[2:]
+    model = CircleModel(radius=float(amp / gamma_t), tilt=float(tilt),
+                        nu_q=float(nu_q), gamma_t=float(gamma_t))
     return model, report
 
 

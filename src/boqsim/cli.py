@@ -364,7 +364,7 @@ def _qubit_sweep(cfg: dict):
     for delta_a in cfg["delta_a_list"]:
         q = _transmon(cfg, delta_a)
         chi0 = dispersive.chi_transmon(q, BogoliubovFrame(
-            r=0.0, s_db=0.0, omega_bog=delta_a), kappa=kappa)
+            r=0.0, omega_bog=delta_a), kappa=kappa)
         lam_max = (_lam_cap_resonant(kappa) if delta_a == 0.0
                    else _lam_cap_detuned(delta_a, kappa))
         for lam in np.linspace(0.0, lam_max, cfg["lam_points"]):
@@ -381,7 +381,7 @@ def cmd_qubit_response(cfg: dict, out: Path, args) -> None:
     shift_rows, deph_rows = [], []
     for p, q, frame, chi0, s_db in _qubit_sweep(cfg):
         if frame is None:
-            res = spectral.resonant_driven_shift(p, chi0.chi, DriveSpec())
+            res = spectral.resonant_shift(p, chi0.chi)
             flags = list(res.flags)
         else:
             chi_res = dispersive.chi_transmon(q, frame, kappa=p.kappa)
@@ -489,7 +489,7 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
     frame = frame_of(p)
     chi_res = dispersive.chi_transmon(q, frame, kappa=kappa)
     chi_res0 = dispersive.chi_transmon(q, BogoliubovFrame(
-        r=0.0, s_db=0.0, omega_bog=delta_a), kappa=kappa)
+        r=0.0, omega_bog=delta_a), kappa=kappa)
     anom = spectral.anomalous_moment(p, frame)
     ana = spectral.shift_undriven(chi_res, chi_res0, frame, kappa,
                                   anomalous=anom)

@@ -58,13 +58,16 @@ class BogoliubovFrame:
     """Squeezing frame of a detuned-pump oscillator.
 
     r : dimensionless squeezing parameter (>= 0), tanh(2r) = lam/|delta_a|
-    s_db : squeezing amplitude S = exp(2r) in dB
     omega_bog : renormalized frequency Omega_a = delta_a / cosh(2r), signed, MHz
     """
 
     r: float
-    s_db: float
     omega_bog: float
+
+    @property
+    def s_db(self) -> float:
+        """Squeezing amplitude S = exp(2r) in dB."""
+        return 10.0 * math.log10(math.exp(2.0 * self.r))
 
     @property
     def sinh2(self) -> float:
@@ -171,7 +174,6 @@ def frame_of(params: OscillatorParams) -> BogoliubovFrame:
             f"lam = {params.lam} >= |delta_a| = {abs(params.delta_a)}: "
             "diagonalization undefined")
     r = 0.5 * math.atanh(params.lam / abs(params.delta_a))
-    s_db = 10.0 * math.log10(math.exp(2.0 * r))
     omega_bog = params.delta_a / math.cosh(2.0 * r)
-    return BogoliubovFrame(r=r, s_db=s_db, omega_bog=omega_bog)
+    return BogoliubovFrame(r=r, omega_bog=omega_bog)
 

@@ -19,18 +19,15 @@ class DispersiveResult:
     squeezed oscillator.
 
     chi : dispersive strength in MHz
-    delta_big : Delta[r] = delta_q - Omega_a[r] in MHz
-    sigma_big : Sigma[r] = delta_q + Omega_a[r] in MHz
     chi_anomalous : coefficient of the (alpha^2 + h.c.) sigma_z/2 term, MHz
     eta : dispersive small parameter max(g e^r, kappa, gamma_1,
-        gamma_phi)/min(|Delta|, |Sigma|)
+        gamma_phi)/min(|Delta|, |Sigma|), with Delta[r] = delta_q - Omega_a[r]
+        and Sigma[r] = delta_q + Omega_a[r]
     delta_q_2 : second-order qubit frequency renormalization, MHz
         (chi/2 for a two-level qubit)
     """
 
     chi: float
-    delta_big: float
-    sigma_big: float
     chi_anomalous: float
     eta: float
     delta_q_2: float = 0.0
@@ -59,9 +56,10 @@ def _eta(g: float, frame: BogoliubovFrame, delta_big: float, sigma_big: float,
 
 
 def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
-                 kappa: float = 0.0) -> DispersiveResult:
+                 kappa: float) -> DispersiveResult:
     """Dispersive strength of the qubit with q.n_levels levels, the model
-    the oracle solves.
+    the oracle solves, next to an oscillator of linewidth kappa (it enters
+    eta, so dispersive_valid).
 
     Two levels:
       chi = 2 g^2 cosh^2 r / Delta[r] + 2 g^2 sinh^2 r / Sigma[r],
@@ -92,6 +90,5 @@ def chi_transmon(q: TransmonParams, frame: BogoliubovFrame,
     chi_anom = g * g * sinh_2r * q.delta_q / (
         q.delta_q ** 2 - frame.omega_bog ** 2)
     eta = _eta(g, frame, delta_big, sigma_big, kappa, q.gamma_1, q.gamma_phi)
-    return DispersiveResult(chi=chi, delta_big=delta_big, sigma_big=sigma_big,
-                            chi_anomalous=chi_anom, eta=eta,
+    return DispersiveResult(chi=chi, chi_anomalous=chi_anom, eta=eta,
                             delta_q_2=delta_q_2)

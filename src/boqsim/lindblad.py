@@ -96,7 +96,7 @@ import scipy.sparse.linalg as spla
 
 from .core import (DriveSpec, OscillatorParams, TransmonParams, frame_of,
                    validate)
-from .spectral import bo_occupation, resonant_steady_state
+from .spectral import SpectralShift, bo_occupation, resonant_steady_state
 
 
 # Krylov size of the coherence eigensolve's retry (ARPACK's default: 21)
@@ -186,18 +186,22 @@ def transmon_level_detunings(q: TransmonParams) -> np.ndarray:
     return k * q.delta_q + 0.5 * k * (k - 1.0) * q.chi_q
 
 
-@dataclass
+@dataclass(frozen=True)
 class LiouvillianMatrix:
     """Assembled superoperator plus the context needed to rebuild it."""
 
     matrix: sp.csc_matrix
     n_fock: int
-    n_transmon: int
     a_full: np.ndarray
     sigma_minus_full: np.ndarray | None
     params: OscillatorParams
     transmon: TransmonParams | None
     drive: DriveSpec | None
+
+    @property
+    def n_transmon(self) -> int:
+        """Transmon levels in the joint space, 1 for the oscillator alone."""
+        return 1 if self.transmon is None else self.transmon.n_levels
 
     @property
     def dim(self) -> int:
@@ -287,19 +291,18 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
             num_t = np.diag(np.arange(n_transmon, dtype=float))
             num_full = np.kron(num_t, np.eye(n_fock))
             liou = liou + 2.0 * q.gamma_phi * _dissipator(num_full)
-    return LiouvillianMatrix(matrix=liou, n_fock=n_fock,
-                             n_transmon=n_transmon, a_full=a_full,
+    return LiouvillianMatrix(matrix=liou, n_fock=n_fock, a_full=a_full,
                              sigma_minus_full=b_low, params=p,
                              transmon=q, drive=drive)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteadyStateResult:
-    """Steady-state density matrix moments from the oracle."""
+    """Steady-state density matrix moments from the oracle; var_x and var_p
+    are taken at steady_state's thetas."""
 
     n_mean: float
     a_sq: complex
-    thetas: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
     trace_residual: float
@@ -470,7 +473,7 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
                  float(np.max(np.abs(vp2 - var_p)))]
         converged = max(moves) / scale < _CONVERGENCE_FACTOR
     return SteadyStateResult(
-        n_mean=n_mean, a_sq=a_sq, thetas=thetas, var_x=var_x, var_p=var_p,
+        n_mean=n_mean, a_sq=a_sq, var_x=var_x, var_p=var_p,
         trace_residual=trace_residual, min_eigenvalue=min_eig,
         truncation_converged=converged, n_fock=liou.n_fock)
 
@@ -532,21 +535,12 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
     return complex(val)
 
 
-@dataclass(frozen=True)
-class OracleShift:
-    """Oracle qubit shift/dephasing, referenced to the pump-off run."""
-
-    d_omega_q: float
-    d_gamma_phi: float
-    eig_on: complex
-    eig_off: complex
-
-
 def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
-                          n_fock: int | None = None) -> OracleShift:
+                          n_fock: int | None = None) -> SpectralShift:
     """Qubit frequency shift and induced dephasing from the coherence-sector
     Liouvillian eigenvalue at truncation n_fock (None: the default
-    truncation for p), referenced to the pump-off run.
+    truncation for p), referenced to the pump-off run, as the
+    SpectralShift the closed forms return, with no flags.
 
     The |g><e| coherence evolves at +i delta_q under the bare Hamiltonian, so
     the dressed qubit frequency is Im(eig) and its linewidth is -Re(eig);
@@ -562,9 +556,8 @@ def qubit_shift_dephasing(p: OscillatorParams, q: TransmonParams,
     eig_off = _pump_off_eigenvalue(p, q)
     pumped = p.lam > _PUMP_FLOOR * max(abs(p.delta_a), p.kappa)
     eig_on = _oracle_eigenvalue(p, q, n_fock) if pumped else eig_off
-    return OracleShift(d_omega_q=eig_on.imag - eig_off.imag,
-                       d_gamma_phi=-(eig_on.real - eig_off.real),
-                       eig_on=eig_on, eig_off=eig_off)
+    return SpectralShift(d_omega_q=eig_on.imag - eig_off.imag,
+                         d_gamma_phi=-(eig_on.real - eig_off.real))
 
 
 def _pump_off_eigenvalue(p: OscillatorParams, q: TransmonParams) -> complex:

@@ -52,8 +52,11 @@ class GainSummary:
     g_max: float
     peak_freq: float
     bw_3db: float
-    n_peaks: int
-    peaks: tuple[PeakInfo, ...] = ()
+    peaks: tuple[PeakInfo, ...]
+
+    @property
+    def n_peaks(self) -> int:
+        return len(self.peaks)
 
 
 def _check_stable(p: OscillatorParams) -> None:
@@ -64,6 +67,19 @@ def _check_stable(p: OscillatorParams) -> None:
             f"{rep.lambda_crit}")
 
 
+def _langevin_den(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
+    """D[omega] = kappa^2/4 + delta_a^2 - lam^2 - omega^2 - i kappa omega,
+    the determinant of the 2x2 Langevin system; stability is not checked."""
+    k, d, l = p.kappa, p.delta_a, p.lam
+    return k * k / 4.0 + d * d - l * l - w * w - 1j * k * w
+
+
+def _signal(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
+    """gamma_signal's Gamma_a[omega] on an array, stability not checked."""
+    k, d = p.kappa, p.delta_a
+    return -1.0 + (k * k / 2.0 - 1j * k * (w + d)) / _langevin_den(p, w)
+
+
 def gamma_signal(p: OscillatorParams, omega) -> complex | np.ndarray:
     """Complex signal reflection Gamma_a[omega].
 
@@ -71,11 +87,7 @@ def gamma_signal(p: OscillatorParams, omega) -> complex | np.ndarray:
                    (kappa^2/4 + delta_a^2 - lam^2 - omega^2 - i kappa omega)
     """
     _check_stable(p)
-    w = np.asarray(omega, dtype=float)
-    k, d, l = p.kappa, p.delta_a, p.lam
-    num = k * k / 2.0 - 1j * k * (w + d)
-    den = k * k / 4.0 + d * d - l * l - w * w - 1j * k * w
-    out = -1.0 + num / den
+    out = _signal(p, np.asarray(omega, dtype=float))
     return out if np.ndim(out) else complex(out)
 
 
@@ -87,9 +99,7 @@ def gamma_idler(p: OscillatorParams, omega) -> complex | np.ndarray:
     """
     _check_stable(p)
     w = np.asarray(omega, dtype=float)
-    k, d, l = p.kappa, p.delta_a, p.lam
-    den = k * k / 4.0 + d * d - l * l - w * w - 1j * k * w
-    out = 1j * k * l / den
+    out = 1j * p.kappa * p.lam / _langevin_den(p, w)
     return out if np.ndim(out) else complex(out)
 
 
@@ -98,20 +108,13 @@ def signal_spectrum(p: OscillatorParams, freqs) -> ComplexSpectrum:
                            values=gamma_signal(p, freqs), kind="signal")
 
 
-def _power_gain(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
-    k, d, l = p.kappa, p.delta_a, p.lam
-    num = k * k / 2.0 - 1j * k * (w + d)
-    den = k * k / 4.0 + d * d - l * l - w * w - 1j * k * w
-    return np.abs(-1.0 + num / den) ** 2
-
-
 def _amplification(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
     """|Gamma_a|^2 - 1 = |Gamma_i|^2 = kappa^2 lam^2 / ((C - w^2)^2 +
     kappa^2 w^2), C = kappa^2/4 + delta_a^2 - lam^2.
 
-    Unlike _power_gain(p, w) - 1 it has no cancellation, so it keeps its
+    Unlike |_signal(p, w)|^2 - 1 it has no cancellation, so it keeps its
     relative precision however weak the pump: at lam = 1e-6 the gain sits
-    within 2e-13 of 1, where _power_gain is round-off noise.
+    within 2e-13 of 1, where the power gain is round-off noise.
     """
     k, d, l = p.kappa, p.delta_a, p.lam
     c = k * k / 4.0 + d * d - l * l
@@ -130,8 +133,8 @@ def _refine_peak(p: OscillatorParams, grid: np.ndarray, idx: int
     if lo == hi:
         raise GridTooCoarseError("cannot bracket peak at grid edge")
     res = scipy.optimize.minimize_scalar(
-        lambda w: -_power_gain(p, np.array([w]))[0], bounds=(lo, hi),
-        method="bounded", options={"xatol": 1e-12})
+        lambda w: -(np.abs(_signal(p, np.array([w]))) ** 2)[0],
+        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     return float(res.x), float(-res.fun)
 
 
@@ -216,9 +219,8 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
             continue
         uniq.append(pk)
     best = max(uniq, key=lambda q: q.gain)
-    return GainSummary(
-        g_max=best.gain, peak_freq=best.freq, bw_3db=best.bw_3db,
-        n_peaks=len(uniq), peaks=tuple(uniq))
+    return GainSummary(g_max=best.gain, peak_freq=best.freq,
+                       bw_3db=best.bw_3db, peaks=tuple(uniq))
 
 
 def fit_bandwidth(p: OscillatorParams) -> tuple[float, bool]:

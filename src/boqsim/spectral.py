@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,14 @@ COALESCENCE_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class SpectralShift:
-    """Qubit frequency shift and induced dephasing, referenced to pump off.
-
-    parts breaks the frequency shift down into {lamb, thermal, drive}
-    contributions (MHz), with shift_undriven's anomalous term; they sum to
-    d_omega_q.
+    """Qubit frequency shift and induced dephasing in MHz, referenced to
+    pump off, from a closed form or from the Lindblad oracle
+    (lindblad.qubit_shift_dephasing).  flags names the closed forms'
+    validity warnings; the oracle sets none.
     """
 
     d_omega_q: float
     d_gamma_phi: float
-    parts: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
 
@@ -98,10 +96,7 @@ def shift_undriven(res_r: DispersiveResult, res_0: DispersiveResult,
     flags = coalescence_flags(frame, kappa)
     if abs(chi_r) > kappa / 10.0:
         flags = flags + ("strong_dispersive",)
-    parts = {"lamb": lamb, "thermal": thermal, "drive": 0.0,
-             "anomalous": anom}
-    return SpectralShift(d_omega_q=d_omega, d_gamma_phi=d_gamma, parts=parts,
-                         flags=flags)
+    return SpectralShift(d_omega_q=d_omega, d_gamma_phi=d_gamma, flags=flags)
 
 
 def shift_driven(chi_r: float, frame: BogoliubovFrame, drive: DriveSpec,
@@ -114,8 +109,7 @@ def shift_driven(chi_r: float, frame: BogoliubovFrame, drive: DriveSpec,
     nd_eff = drive.n_d * frame.cosh2
     d_omega = chi_r * nd_eff
     d_gamma = 2.0 * chi_r * chi_r / kappa * (1.0 + 2.0 * frame.sinh2) * nd_eff
-    parts = {"lamb": 0.0, "thermal": 0.0, "drive": d_omega}
-    return SpectralShift(d_omega_q=d_omega, d_gamma_phi=d_gamma, parts=parts,
+    return SpectralShift(d_omega_q=d_omega, d_gamma_phi=d_gamma,
                          flags=coalescence_flags(frame, kappa))
 
 
@@ -172,28 +166,16 @@ def resonant_steady_state(p: OscillatorParams) -> Moments:
     return Moments(n_mean=n_mean, a_sq=a_sq, s_inf=s_inf)
 
 
-def resonant_driven_shift(p: OscillatorParams, chi_0: float,
-                          drive: DriveSpec) -> SpectralShift:
-    """Qubit shift under resonant pump (delta_a = 0) and a coherent drive at
-    nu_p/2 with phase theta.
+def resonant_shift(p: OscillatorParams, chi_0: float) -> SpectralShift:
+    """Qubit shift and induced dephasing under a resonant pump
+    (delta_a = 0), undriven, from the zero-pump dispersive strength chi_0:
 
-    d_omega[lam] = (lam^2 / (2 (kappa^2/4 - lam^2))) chi_0 = n_mean chi_0
-    d_omega[lam, n_d] = (kappa^2/4) (kappa^2/4 + lam^2 - lam kappa cos 2theta)
-                        / (kappa^2/4 - lam^2)^2 * n_d * chi_0
-
-    d_gamma_phi reports only the pump part (chi_0^2/kappa) n_mean (1 + n_mean)
-    of the undriven steady state, not the phase-dependent drive dephasing.
+    d_omega = (lam^2 / (2 (kappa^2/4 - lam^2))) chi_0 = n_mean chi_0
+    d_gamma_phi = (chi_0^2/kappa) n_mean (1 + n_mean)
     """
     n_mean = resonant_steady_state(p).n_mean
-    k2 = p.kappa * p.kappa / 4.0
-    lamb = n_mean * chi_0
-    drive_shift = (k2 * (k2 + p.lam * p.lam
-                         - p.lam * p.kappa * math.cos(2.0 * drive.theta))
-                   / (k2 - p.lam * p.lam) ** 2 * drive.n_d * chi_0)
     d_gamma = chi_0 * chi_0 / p.kappa * n_mean * (1.0 + n_mean)
-    parts = {"lamb": lamb, "thermal": 0.0, "drive": drive_shift}
-    return SpectralShift(d_omega_q=lamb + drive_shift, d_gamma_phi=d_gamma,
-                         parts=parts)
+    return SpectralShift(d_omega_q=n_mean * chi_0, d_gamma_phi=d_gamma)
 
 
 def dephasing_from_correlation(chi: float, frame: BogoliubovFrame,

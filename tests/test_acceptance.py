@@ -111,7 +111,7 @@ def test_criterion_02_bandwidth_evasion():
 
 def test_criterion_03_bare_dispersive_strength():
     """Zero-pump transmon dispersive strength is -250 kHz within 5%."""
-    frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=20.0)
+    frame0 = BogoliubovFrame(r=0.0, omega_bog=20.0)
     chi = chi_transmon(Q_OP, frame0, kappa=KAPPA).chi
     dev = abs(chi - (-0.250)) / 0.250
     report(3, dev <= 0.05,
@@ -125,7 +125,7 @@ def test_criterion_04_enhancement_headline():
     measured -510 kHz within 30% of the analytic value."""
     p = osc(20.0, 17.0)
     frame = frame_of(p)
-    frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=20.0)
+    frame0 = BogoliubovFrame(r=0.0, omega_bog=20.0)
     chi_r = chi_transmon(Q_OP, frame, kappa=KAPPA).chi
     chi_0 = chi_transmon(Q_OP, frame0, kappa=KAPPA).chi
     ratio = abs(chi_r / chi_0)
@@ -221,9 +221,7 @@ def test_criterion_08_dephasing_correlator_consistency():
         frame = frame_of(p)
         drive = DriveSpec(n_d=n_d)
         # the dephasing reads chi[r] alone
-        res_r, res_0 = (DispersiveResult(chi=c, delta_big=math.nan,
-                                         sigma_big=math.nan,
-                                         chi_anomalous=0.0, eta=0.0)
+        res_r, res_0 = (DispersiveResult(chi=c, chi_anomalous=0.0, eta=0.0)
                         for c in (chi, 0.0))
         closed = (shift_undriven(res_r, res_0, frame, KAPPA).d_gamma_phi
                   + shift_driven(chi, frame, drive, KAPPA).d_gamma_phi)
@@ -308,7 +306,7 @@ def test_criterion_10_qubit_spectrum_reproduction(tmp_path):
         monotone &= all(b <= a + 1e-12 for a, b in zip(shifts, shifts[1:]))
         if delta_a == 0.0:
             continue
-        frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=delta_a)
+        frame0 = BogoliubovFrame(r=0.0, omega_bog=delta_a)
         q = TransmonParams(delta_q=delta_a - 100.0, g=4.9, chi_q=-114.0,
                            gamma_1=5.0, gamma_phi=2.2, n_levels=3)
         chi0 = chi_transmon(q, frame0, kappa=KAPPA).chi

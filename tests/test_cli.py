@@ -173,6 +173,22 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="2-D float64"):
             self._written(tmp_path, ["a", "b", "c"], rows)
 
+    def test_failed_replace_removes_the_temp_file(self, tmp_path,
+                                                  monkeypatch):
+        # the error propagates, the old file stays and no t.csv.* is left
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            cli.write_atomic(path, "new\n")
+        monkeypatch.undo()
+        assert list(tmp_path.glob("t.csv.*")) == []
+        assert path.read_text() == "old\n"
+
 
 class TestGbw:
     CFG = "delta_a_list = 0\ngains_db = 6,9\n"

@@ -114,9 +114,9 @@ class TestBogoliubovFrame:
 
     def test_squeezing_db(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=17.0)
-        frame = frame_of(p)
-        assert frame.s_db == pytest.approx(
-            10.0 * math.log10(math.exp(2.0 * frame.r)))
+        # e^{4r} = (1 + tanh 2r)/(1 - tanh 2r), so S = 5 log10 of that in dB
+        assert frame_of(p).s_db == pytest.approx(
+            5.0 * math.log10((1.0 + 0.85) / (1.0 - 0.85)), rel=1e-14)
 
     def test_renormalized_frequency_sign_follows_detuning(self):
         up = frame_of(OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0,
@@ -128,7 +128,7 @@ class TestBogoliubovFrame:
         assert up.r == pytest.approx(dn.r)
 
     def test_hyperbolic_identity(self):
-        frame = BogoliubovFrame(r=0.7, s_db=0.0, omega_bog=1.0)
+        frame = BogoliubovFrame(r=0.7, omega_bog=1.0)
         assert frame.cosh2 - frame.sinh2 == pytest.approx(1.0)
 
     def test_resonant_frame_undefined(self):

@@ -175,9 +175,10 @@ def power_gain_candidates():
     """Context in which peak_gain/gain_summary take their candidate maxima
     from the power gain itself, as before the cancellation-free
     amplification was introduced."""
-    return mock.patch.multiple(scattering,
-                               _amplification=scattering._power_gain,
-                               _local_maxima=loop_local_maxima)
+    return mock.patch.multiple(
+        scattering,
+        _amplification=lambda p, w: np.abs(scattering._signal(p, w)) ** 2,
+        _local_maxima=loop_local_maxima)
 
 
 def summary_or_error(p, grid):

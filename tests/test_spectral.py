@@ -23,7 +23,7 @@ from boqsim import (
     chi_transmon,
     dephasing_from_correlation,
     frame_of,
-    resonant_driven_shift,
+    resonant_shift,
     resonant_steady_state,
     shift_driven,
     shift_undriven,
@@ -41,8 +41,7 @@ def dispersive_result(chi: float, delta_q_2: float | None = None,
     """A dispersive result holding only what shift_undriven reads; its
     delta_q^(2) is the two-level chi/2 unless given."""
     return DispersiveResult(
-        chi=chi, delta_big=math.nan, sigma_big=math.nan,
-        chi_anomalous=chi_anomalous, eta=0.0,
+        chi=chi, chi_anomalous=chi_anomalous, eta=0.0,
         delta_q_2=0.5 * chi if delta_q_2 is None else delta_q_2)
 
 
@@ -151,17 +150,11 @@ class TestBogoliubovMoments:
 
 
 class TestShifts:
-    def test_undriven_parts_sum(self):
-        frame = frame_of(P_DETUNED)
-        res = shift_undriven(dispersive_result(-0.5), dispersive_result(-0.25),
-                             frame, 8.7)
-        assert sum(res.parts.values()) == pytest.approx(res.d_omega_q)
-
     def test_undriven_two_level_form(self):
         # two levels: delta_q^(2) = chi/2, so the Lamb term is half the
         # difference of the two chi
         frame = frame_of(P_DETUNED)
-        frame0 = BogoliubovFrame(r=0.0, s_db=0.0, omega_bog=20.0)
+        frame0 = BogoliubovFrame(r=0.0, omega_bog=20.0)
         q = TransmonParams(delta_q=-80.0, g=4.9, n_levels=2)
         res_r, res_0 = (chi_transmon(q, fr, kappa=8.7)
                         for fr in (frame, frame0))
@@ -176,7 +169,9 @@ class TestShifts:
         res = shift_undriven(dispersive_result(-0.5, delta_q_2=-0.3),
                              dispersive_result(-0.25, delta_q_2=-0.2),
                              frame, 8.7)
-        assert res.parts["lamb"] == pytest.approx(-0.1)
+        # the Lamb term delta_q^(2)[r] - delta_q^(2)[0] plus chi[r] sinh^2 r
+        assert res.d_omega_q == pytest.approx(-0.1 - 0.5 * frame.sinh2,
+                                              rel=1e-14)
 
     def test_anomalous_term_added_when_supplied(self):
         frame = frame_of(P_DETUNED)
@@ -200,24 +195,27 @@ class TestShifts:
             2.0 * 0.25 / 8.7 * (1.0 + 2.0 * frame.sinh2) * nd_eff)
 
 
-class TestResonantDrivenShift:
+class TestResonantShift:
     P = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0)
 
-    def test_zero_drive_reduces_to_pump_shift(self):
-        res = resonant_driven_shift(self.P, -0.25, DriveSpec())
+    def test_shift_is_n_mean_chi_0(self):
+        res = resonant_shift(self.P, -0.25)
         n, _ = steady_moments(self.P)
-        assert res.d_omega_q == pytest.approx(n * -0.25)
+        assert res.d_omega_q == n * -0.25
+        assert res.d_gamma_phi == pytest.approx(
+            0.0625 / 8.7 * n * (1.0 + n), rel=1e-14)
+        assert res.flags == ()
 
-    def test_phase_dependence_extremes(self):
-        hi = resonant_driven_shift(self.P, -0.25,
-                                   DriveSpec(n_d=0.5, theta=math.pi / 2.0))
-        lo = resonant_driven_shift(self.P, -0.25, DriveSpec(n_d=0.5))
-        # cos(2 theta) = -1 maximizes the drive amplification of the shift
-        assert abs(hi.parts["drive"]) > abs(lo.parts["drive"])
+    def test_zero_pump_shift_keeps_the_sign_of_chi_0(self):
+        # 0.0 * chi_0: -0.0 below a negative chi_0, as the CSVs print it
+        res = resonant_shift(dataclasses.replace(self.P, lam=0.0), -0.25)
+        assert res.d_omega_q == 0.0
+        assert math.copysign(1.0, res.d_omega_q) == -1.0
+        assert res.d_gamma_phi == 0.0
 
     def test_requires_resonant_pump(self):
         with pytest.raises(ValueError):
-            resonant_driven_shift(P_DETUNED, -0.25, DriveSpec())
+            resonant_shift(P_DETUNED, -0.25)
 
 
 class TestCorrelation:
