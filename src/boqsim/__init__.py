@@ -10,12 +10,11 @@ from .core import (
     DriveSpec,
     OscillatorParams,
     StabilityError,
-    StabilityReport,
     TransmonParams,
+    check_stable,
     frame_of,
     lambda_coalescence,
     lambda_critical,
-    validate,
 )
 from .dispersive import (
     DISPERSIVE_ETA_MAX,

@@ -1,4 +1,4 @@
-"""Parameter types, unit conventions, stability checks, squeezing frame.
+"""Parameter types, unit conventions, the stability rule, squeezing frame.
 
 Unit convention: every frequency and rate is an ordinary frequency in MHz
 (nu = omega / 2 pi).  All formulas in this package are ratio-homogeneous in
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 
 class StabilityError(ValueError):
-    """Raised when parameters are outside the stable / well-defined regime."""
+    """A pump at or past its instability threshold (check_stable), or one
+    whose squeezing frame is undefined (frame_of)."""
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -129,18 +130,6 @@ class DriveSpec:
         _require(self.n_d >= 0, "n_d must be non-negative")
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Stability of a pumped oscillator.
-
-    lambda_crit is the instability threshold: kappa/2 at delta_a = 0,
-    sqrt(delta_a^2 + kappa^2/4) otherwise; stable means lam < lambda_crit.
-    """
-
-    stable: bool
-    lambda_crit: float
-
-
 def lambda_coalescence(kappa: float, delta_a: float) -> float | None:
     """Pump amplitude where signal and idler peaks merge, or None."""
     if abs(delta_a) < kappa / 2.0:
@@ -154,10 +143,21 @@ def lambda_critical(kappa: float, delta_a: float) -> float:
     return math.sqrt(delta_a ** 2 + kappa ** 2 / 4.0)
 
 
-def validate(params: OscillatorParams) -> StabilityReport:
-    """Classify a parameter set as stable/unstable."""
-    l_crit = lambda_critical(params.kappa, params.delta_a)
-    return StabilityReport(stable=params.lam < l_crit, lambda_crit=l_crit)
+def check_stable(params: OscillatorParams) -> float:
+    """C = kappa^2/4 + delta_a^2 - lam^2 of a stable pump; StabilityError
+    unless C > 0.
+
+    C is the Langevin determinant D(omega) at omega = 0, which the gain and
+    the steady-state moments divide by; C > 0 is lam < lambda_crit, decided
+    in the rounding of the C they divide by.
+    """
+    k, d, l = params.kappa, params.delta_a, params.lam
+    c = k * k / 4.0 + d * d - l * l
+    if not c > 0.0:
+        raise StabilityError(
+            f"unstable pump: lam = {l} at or past lambda_crit = "
+            f"{lambda_critical(k, d)}, C = {c:.3g} is not positive")
+    return c
 
 
 def frame_of(params: OscillatorParams) -> BogoliubovFrame:

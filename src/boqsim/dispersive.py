@@ -30,7 +30,7 @@ class DispersiveResult:
     chi: float
     chi_anomalous: float
     eta: float
-    delta_q_2: float = 0.0
+    delta_q_2: float
 
     @property
     def dispersive_valid(self) -> bool:

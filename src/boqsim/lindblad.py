@@ -66,7 +66,8 @@ refuse, with TruncationError and before any allocation, n_fock < 4, a
 truncation whose estimated occupation exceeds n_fock/4, or one with more
 than _MAX_UNKNOWNS unknowns.  A stable detuned pump with lam >= |delta_a|
 has no estimate and is refused the same way; past lambda_crit the refusal
-is UnstableDynamics.
+is core.check_stable's StabilityError.  UnstableDynamics is left for a
+steady-state solve that fails its residual check.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -88,14 +89,14 @@ transmon levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import (DriveSpec, OscillatorParams, TransmonParams, frame_of,
-                   validate)
+from .core import (DriveSpec, OscillatorParams, TransmonParams, check_stable,
+                   frame_of)
 from .spectral import SpectralShift, bo_occupation, resonant_steady_state
 
 
@@ -136,7 +137,8 @@ _MAX_UNKNOWNS = 2 ** 19
 
 
 class UnstableDynamics(RuntimeError):
-    """The Liouvillian has no unique decaying steady state."""
+    """A steady-state solve failed its residual check (an unstable pump is
+    refused before, with StabilityError)."""
 
 
 class TruncationError(ValueError):
@@ -153,22 +155,19 @@ def _sizing(p: OscillatorParams, drive: DriveSpec | None) -> tuple[float, int]:
     The occupation is n_d cosh^2 r + sinh^2 r when detuned and n + n_d on
     resonance.  Squeezed states decay slowly in the number basis, so the
     truncation also tracks the anti-squeezed quadrature variance
-    (proportional to e^{2r}, or to S_inf on resonance).  A pump past
-    lambda_crit raises UnstableDynamics; a stable one with lam >= |delta_a|
-    has no squeezing frame to size by and raises TruncationError.
+    (proportional to e^{2r}, or to S_inf on resonance).  An unstable pump
+    raises StabilityError; a stable one with lam >= |delta_a| has no
+    squeezing frame to size by and raises TruncationError.
     """
+    check_stable(p)
     drive = DriveSpec() if drive is None else drive
     if p.lam < abs(p.delta_a):  # never at delta_a = 0, as lam >= 0
         frame = frame_of(p)
         occ, anti = bo_occupation(frame, drive), math.exp(2.0 * frame.r)
-    elif p.delta_a == 0.0 and p.lam < p.kappa / 2.0:
+    elif p.delta_a == 0.0:
         mom = resonant_steady_state(p)
         occ, anti = mom.n_mean + drive.n_d, mom.s_inf
     else:
-        rep = validate(p)
-        if not rep.stable:
-            raise UnstableDynamics(
-                f"lam = {p.lam} >= lambda_crit = {rep.lambda_crit}")
         raise TruncationError(
             f"cannot size the truncation for lam = {p.lam} >= |delta_a| = "
             f"{abs(p.delta_a)}")
@@ -192,8 +191,6 @@ class LiouvillianMatrix:
 
     matrix: sp.csc_matrix
     n_fock: int
-    a_full: np.ndarray
-    sigma_minus_full: np.ndarray | None
     params: OscillatorParams
     transmon: TransmonParams | None
     drive: DriveSpec | None
@@ -207,11 +204,23 @@ class LiouvillianMatrix:
     def dim(self) -> int:
         return self.n_fock * self.n_transmon
 
+    @property
+    def a_full(self) -> np.ndarray:
+        """The oscillator's lowering operator in the joint space."""
+        return np.kron(np.eye(self.n_transmon), destroy(self.n_fock))
+
+    @property
+    def sigma_minus_full(self) -> np.ndarray | None:
+        """The transmon's lowering operator in the joint space, None for
+        the oscillator alone."""
+        if self.transmon is None:
+            return None
+        return np.kron(destroy(self.transmon.n_levels), np.eye(self.n_fock))
+
 
 def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
-                 drive: DriveSpec | None, n_fock: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Joint Hamiltonian in the bare basis; returns (H, a_full, b_low_full)."""
+                 drive: DriveSpec | None, n_fock: int) -> np.ndarray:
+    """Joint Hamiltonian in the bare basis."""
     a = destroy(n_fock)
     ident_f = np.eye(n_fock)
     h_osc = (p.delta_a * a.conj().T @ a
@@ -221,13 +230,11 @@ def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
             1j * (drive.theta - math.pi / 4.0))
         h_osc = h_osc + 0.5 * eps * a + 0.5 * np.conj(eps) * a.conj().T
     if q is None:
-        return h_osc, a, None
-    ident_t = np.eye(q.n_levels)
+        return h_osc
     h_t = np.diag(transmon_level_detunings(q))
     b = destroy(q.n_levels)  # lowering with sqrt(k+1) matrix elements
-    h = (np.kron(ident_t, h_osc) + np.kron(h_t, ident_f)
-         + q.g * (np.kron(b.conj().T, a) + np.kron(b, a.conj().T)))
-    return h, np.kron(ident_t, a), np.kron(b, ident_f)
+    return (np.kron(np.eye(q.n_levels), h_osc) + np.kron(h_t, ident_f)
+            + q.g * (np.kron(b.conj().T, a) + np.kron(b, a.conj().T)))
 
 
 def _dissipator(c: np.ndarray) -> sp.csc_matrix:
@@ -276,24 +283,24 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
     """
     n_transmon = 1 if q is None else q.n_levels
     n_fock = _check_truncation(p, drive, n_fock, n_transmon)
-    h, a_full, b_low = _hamiltonian(p, q, drive, n_fock)
-    dim = h.shape[0]
-    ident = sp.identity(dim, format="csc")
-    h_s = sp.csc_matrix(h)
+    h_s = sp.csc_matrix(_hamiltonian(p, q, drive, n_fock))
+    ident = sp.identity(h_s.shape[0], format="csc")
     liou = (-1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))).tocsc()
-    liou = liou + p.kappa * _dissipator(a_full)
+    # the jump operators are properties of the result: read them from the
+    # Hamiltonian part, and replace it by the whole Liouvillian
+    ops = LiouvillianMatrix(matrix=liou, n_fock=n_fock, params=p,
+                            transmon=q, drive=drive)
+    liou = liou + p.kappa * _dissipator(ops.a_full)
     if q is not None:
         if q.gamma_1 > 0.0:
-            liou = liou + q.gamma_1 * _dissipator(b_low)
+            liou = liou + q.gamma_1 * _dissipator(ops.sigma_minus_full)
         if q.gamma_phi > 0.0:
             # sqrt(2 gamma_phi) * diag(level number); equals
             # sqrt(gamma_phi/2) sigma_z for two levels up to an identity shift
             num_t = np.diag(np.arange(n_transmon, dtype=float))
             num_full = np.kron(num_t, np.eye(n_fock))
             liou = liou + 2.0 * q.gamma_phi * _dissipator(num_full)
-    return LiouvillianMatrix(matrix=liou, n_fock=n_fock, a_full=a_full,
-                             sigma_minus_full=b_low, params=p,
-                             transmon=q, drive=drive)
+    return replace(ops, matrix=liou)
 
 
 @dataclass(frozen=True)
@@ -418,8 +425,8 @@ def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
     residual = np.linalg.norm(liou.matrix @ rho.reshape(-1, order="F"))
     if not np.isfinite(residual) or residual > 1e-6 * max(
             1.0, spla.norm(liou.matrix)):
-        raise UnstableDynamics("steady-state solve failed to converge "
-                               "(dynamics likely unstable)")
+        raise UnstableDynamics(f"steady-state solve failed its residual "
+                               f"check: ||L rho|| = {residual:.3g}")
     return rho
 
 
@@ -600,11 +607,10 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
         raise ValueError("chi_exact requires the detuned regime "
                          "lam < |delta_a|")
     n_fock = _check_truncation(p, None, n_fock, q.n_levels)
-    h, _, _ = _hamiltonian(p, q, None, n_fock)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(_hamiltonian(p, q, None, n_fock))
     # squeezed Fock states |0_s>, |1_s>: the oscillator's two lowest
     # excitations, the lowest eigenvectors of sign(delta_a) H_osc
-    h_osc = _hamiltonian(p, None, None, n_fock)[0]
+    h_osc = _hamiltonian(p, None, None, n_fock)
     sq = np.linalg.eigh(math.copysign(1.0, p.delta_a) * h_osc)[1][:, :2]
     # products |k>|n_s> in the order g0, g1, e0, e1
     targets = np.kron(np.eye(q.n_levels)[:, :2], sq)

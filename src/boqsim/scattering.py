@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import OscillatorParams, StabilityError, validate
+from .core import OscillatorParams, check_stable
 
 
 @dataclass(frozen=True)
@@ -59,25 +59,21 @@ class GainSummary:
         return len(self.peaks)
 
 
-def _check_stable(p: OscillatorParams) -> None:
-    rep = validate(p)
-    if not rep.stable:
-        raise StabilityError(
-            f"unstable parameters: lam = {p.lam} >= lambda_crit = "
-            f"{rep.lambda_crit}")
+# The private helpers below take C = kappa^2/4 + delta_a^2 - lam^2 from
+# check_stable, computed once per public call.
 
 
-def _langevin_den(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
-    """D[omega] = kappa^2/4 + delta_a^2 - lam^2 - omega^2 - i kappa omega,
-    the determinant of the 2x2 Langevin system; stability is not checked."""
-    k, d, l = p.kappa, p.delta_a, p.lam
-    return k * k / 4.0 + d * d - l * l - w * w - 1j * k * w
+def _langevin_den(p: OscillatorParams, c: float, w: np.ndarray
+                  ) -> np.ndarray:
+    """D[omega] = C - omega^2 - i kappa omega, the determinant of the 2x2
+    Langevin system."""
+    return c - w * w - 1j * p.kappa * w
 
 
-def _signal(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
-    """gamma_signal's Gamma_a[omega] on an array, stability not checked."""
+def _signal(p: OscillatorParams, c: float, w: np.ndarray) -> np.ndarray:
+    """gamma_signal's Gamma_a[omega] on an array."""
     k, d = p.kappa, p.delta_a
-    return -1.0 + (k * k / 2.0 - 1j * k * (w + d)) / _langevin_den(p, w)
+    return -1.0 + (k * k / 2.0 - 1j * k * (w + d)) / _langevin_den(p, c, w)
 
 
 def gamma_signal(p: OscillatorParams, omega) -> complex | np.ndarray:
@@ -86,8 +82,7 @@ def gamma_signal(p: OscillatorParams, omega) -> complex | np.ndarray:
     Gamma_a = -1 + (kappa^2/2 - i kappa (omega + delta_a)) /
                    (kappa^2/4 + delta_a^2 - lam^2 - omega^2 - i kappa omega)
     """
-    _check_stable(p)
-    out = _signal(p, np.asarray(omega, dtype=float))
+    out = _signal(p, check_stable(p), np.asarray(omega, dtype=float))
     return out if np.ndim(out) else complex(out)
 
 
@@ -97,9 +92,9 @@ def gamma_idler(p: OscillatorParams, omega) -> complex | np.ndarray:
     Obtained from the 2x2 frequency-domain Langevin system for (a, a^dag);
     satisfies |Gamma_a|^2 - |Gamma_i|^2 = 1 for all omega.
     """
-    _check_stable(p)
+    c = check_stable(p)
     w = np.asarray(omega, dtype=float)
-    out = 1j * p.kappa * p.lam / _langevin_den(p, w)
+    out = 1j * p.kappa * p.lam / _langevin_den(p, c, w)
     return out if np.ndim(out) else complex(out)
 
 
@@ -108,16 +103,16 @@ def signal_spectrum(p: OscillatorParams, freqs) -> ComplexSpectrum:
                            values=gamma_signal(p, freqs), kind="signal")
 
 
-def _amplification(p: OscillatorParams, w: np.ndarray) -> np.ndarray:
+def _amplification(p: OscillatorParams, c: float, w: np.ndarray
+                   ) -> np.ndarray:
     """|Gamma_a|^2 - 1 = |Gamma_i|^2 = kappa^2 lam^2 / ((C - w^2)^2 +
     kappa^2 w^2), C = kappa^2/4 + delta_a^2 - lam^2.
 
-    Unlike |_signal(p, w)|^2 - 1 it has no cancellation, so it keeps its
+    Unlike |_signal|^2 - 1 it has no cancellation, so it keeps its
     relative precision however weak the pump: at lam = 1e-6 the gain sits
     within 2e-13 of 1, where the power gain is round-off noise.
     """
-    k, d, l = p.kappa, p.delta_a, p.lam
-    c = k * k / 4.0 + d * d - l * l
+    k, l = p.kappa, p.lam
     x = w * w
     return (k * l) ** 2 / ((c - x) ** 2 + k * k * x)
 
@@ -126,19 +121,19 @@ class GridTooCoarseError(ValueError):
     """Grid fails to bracket the gain peaks for refinement."""
 
 
-def _refine_peak(p: OscillatorParams, grid: np.ndarray, idx: int
+def _refine_peak(p: OscillatorParams, c: float, grid: np.ndarray, idx: int
                  ) -> tuple[float, float]:
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]
     if lo == hi:
         raise GridTooCoarseError("cannot bracket peak at grid edge")
     res = scipy.optimize.minimize_scalar(
-        lambda w: -(np.abs(_signal(p, np.array([w]))) ** 2)[0],
+        lambda w: -(np.abs(_signal(p, c, np.array([w]))) ** 2)[0],
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     return float(res.x), float(-res.fun)
 
 
-def _half_gain_width(p: OscillatorParams, gain: float) -> float:
+def _half_gain_width(p: OscillatorParams, c: float, gain: float) -> float:
     """Full width at half the power gain of a top, inf for gain <= 2.  The
     amplification K/((x - u)^2 + C^2 - u^2), K = kappa^2 lam^2, x = w^2,
     u = C - kappa^2/2, is a = gain/2 - 1 at x = u +- R, R^2 = K/a - (C^2 -
@@ -146,8 +141,7 @@ def _half_gain_width(p: OscillatorParams, gain: float) -> float:
     a = gain / 2.0 - 1.0
     if a <= 0.0:
         return math.inf
-    k, d, l = p.kappa, p.delta_a, p.lam
-    c = k * k / 4.0 + d * d - l * l
+    k, l = p.kappa, p.lam
     u = c - k * k / 2.0
     q = (k * l) ** 2 / a
     r = math.sqrt(q - 0.5 * k * k * (c + u))
@@ -164,12 +158,12 @@ def _local_maxima(amp: np.ndarray) -> list[int]:
     return (np.flatnonzero(is_max) + 1).tolist()
 
 
-def _no_dip(p: OscillatorParams, w1: float, w2: float) -> bool:
+def _no_dip(p: OscillatorParams, c: float, w1: float, w2: float) -> bool:
     """Whether the amplification halfway between w1 and w2 is at least the
     lower of its two values there, to 8 round-offs: a smaller dip cannot be
     resolved.  It is unimodal in w^2, so two points near the tops +-w_pk
     see their dip at the midpoint, and two points on one top do not."""
-    a1, mid, a2 = _amplification(p, np.array([w1, 0.5 * (w1 + w2), w2]))
+    a1, mid, a2 = _amplification(p, c, np.array([w1, 0.5 * (w1 + w2), w2]))
     return mid >= min(a1, a2) * (1.0 - 8.0 * np.finfo(float).eps)
 
 
@@ -180,11 +174,11 @@ def peak_gain(p: OscillatorParams, grid) -> tuple[float, float]:
     |Gamma_a|^2 - 1, so round-off wiggles of a near-unit gain are never
     refined; each candidate is then refined on the power gain itself.
     """
-    _check_stable(p)
+    c = check_stable(p)
     grid = np.asarray(grid, dtype=float)
-    amp = _amplification(p, grid)
+    amp = _amplification(p, c, grid)
     maxima = _local_maxima(amp) or [int(np.argmax(amp))]
-    best = max((_refine_peak(p, grid, i) for i in maxima),
+    best = max((_refine_peak(p, c, grid, i) for i in maxima),
                key=lambda fg: fg[1])
     return best
 
@@ -202,20 +196,20 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
     points or no interior grid maximum (the grid misses every top, or
     lam = 0 and the gain is flat).
     """
-    _check_stable(p)
+    c = check_stable(p)
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
         raise GridTooCoarseError("grid must contain at least 5 points")
-    maxima = _local_maxima(_amplification(p, grid))
+    maxima = _local_maxima(_amplification(p, c, grid))
     if not maxima:
         raise GridTooCoarseError("no local gain maximum bracketed by grid")
-    peaks = [PeakInfo(freq=f, gain=g, bw_3db=_half_gain_width(p, g))
-             for f, g in (_refine_peak(p, grid, i) for i in maxima)]
+    peaks = [PeakInfo(freq=f, gain=g, bw_3db=_half_gain_width(p, c, g))
+             for f, g in (_refine_peak(p, c, grid, i) for i in maxima)]
     # merge refinements of one top: they land anywhere on it, as far apart
     # as it is flat to round-off, with no dip between them
     uniq: list[PeakInfo] = []
     for pk in sorted(peaks, key=lambda q: q.freq):
-        if uniq and _no_dip(p, uniq[-1].freq, pk.freq):
+        if uniq and _no_dip(p, c, uniq[-1].freq, pk.freq):
             continue
         uniq.append(pk)
     best = max(uniq, key=lambda q: q.gain)
@@ -240,9 +234,8 @@ def fit_bandwidth(p: OscillatorParams) -> tuple[float, bool]:
     detuned regime (gain-independent bandwidth).  Both diverge at
     coalescence, C = kappa^2/2, where (inf, False) is returned.
     """
-    _check_stable(p)
-    k, d, l = p.kappa, p.delta_a, p.lam
-    c = k * k / 4.0 + d * d - l * l
+    c = check_stable(p)
+    k = p.kappa
     u_pk = c - k * k / 2.0
     if u_pk > 0.0:
         return k * math.sqrt(1.0 + k * k / (4.0 * u_pk)), True

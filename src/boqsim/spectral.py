@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BogoliubovFrame, DriveSpec, OscillatorParams
+from .core import BogoliubovFrame, DriveSpec, OscillatorParams, check_stable
 from .dispersive import DispersiveResult
 
 # Below |2 Omega_a| = COALESCENCE_FACTOR * kappa/2 the first-order-in-eta
@@ -115,15 +115,13 @@ def shift_driven(chi_r: float, frame: BogoliubovFrame, drive: DriveSpec,
 
 def steady_moments(p: OscillatorParams) -> tuple[float, complex]:
     """Closed-form bare steady-state moments (<a^dag a>, <a^2>) for any
-    stable pump setting (resonant or detuned).
+    stable pump setting (resonant or detuned); an unstable one raises
+    StabilityError (core.check_stable).
 
-    n = lam^2 / (2 (kappa^2/4 + delta_a^2 - lam^2)),
+    n = lam^2 / (2 C), C = kappa^2/4 + delta_a^2 - lam^2,
     <a^2> = i lam (2n + 1) / (kappa + 2 i delta_a).
     """
-    den = p.kappa ** 2 / 4.0 + p.delta_a ** 2 - p.lam ** 2
-    if den <= 0.0:
-        raise ValueError("unstable: lam >= lambda_crit")
-    n = 0.5 * p.lam * p.lam / den
+    n = 0.5 * p.lam * p.lam / check_stable(p)
     a_sq = 1j * p.lam * (2.0 * n + 1.0) / (p.kappa + 2j * p.delta_a)
     return n, complex(a_sq)
 

@@ -221,7 +221,8 @@ def test_criterion_08_dephasing_correlator_consistency():
         frame = frame_of(p)
         drive = DriveSpec(n_d=n_d)
         # the dephasing reads chi[r] alone
-        res_r, res_0 = (DispersiveResult(chi=c, chi_anomalous=0.0, eta=0.0)
+        res_r, res_0 = (DispersiveResult(chi=c, chi_anomalous=0.0, eta=0.0,
+                                         delta_q_2=0.5 * c)
                         for c in (chi, 0.0))
         closed = (shift_undriven(res_r, res_0, frame, KAPPA).d_gamma_phi
                   + shift_driven(chi, frame, drive, KAPPA).d_gamma_phi)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,10 +12,22 @@ from boqsim import (
     OscillatorParams,
     StabilityError,
     TransmonParams,
+    anomalous_moment,
+    build_liouvillian,
+    check_stable,
+    fit_bandwidth,
     frame_of,
+    gain_summary,
+    gamma_idler,
+    gamma_signal,
     lambda_coalescence,
     lambda_critical,
-    validate,
+    peak_gain,
+    qubit_shift_dephasing,
+    resonant_shift,
+    resonant_steady_state,
+    signal_spectrum,
+    steady_moments,
 )
 
 
@@ -93,17 +106,70 @@ class TestStabilityThresholds:
         l_co = lambda_coalescence(8.7, 30.0)
         assert l_co < lambda_critical(8.7, 30.0)
 
-    def test_validate_stable(self):
-        rep = validate(OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0,
-                                        lam=17.0))
-        assert rep.stable
-        assert rep.lambda_crit == lambda_critical(8.7, 30.0)
+    def test_check_stable_gives_c(self):
+        c = check_stable(OscillatorParams(freq_a=0.0, kappa=8.7,
+                                          delta_a=30.0, lam=17.0))
+        assert c == 8.7 * 8.7 / 4.0 + 30.0 * 30.0 - 17.0 * 17.0 > 0.0
 
-    def test_validate_unstable(self):
-        rep = validate(OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
-                                        lam=5.0))
-        assert not rep.stable
-        assert rep.lambda_crit == lambda_critical(8.7, 0.0) < 5.0
+    def test_check_stable_refuses_past_lambda_crit(self):
+        assert lambda_critical(8.7, 0.0) < 5.0
+        with pytest.raises(StabilityError, match="lambda_crit"):
+            check_stable(OscillatorParams(freq_a=0.0, kappa=8.7,
+                                          delta_a=0.0, lam=5.0))
+
+
+# one resonant and one detuned pump past lambda_crit (4.35 and 20.468)
+UNSTABLE = {"resonant": OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
+                                         lam=4.5),
+            "detuned": OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0,
+                                        lam=20.5)}
+# lambda_crit - lam = 7.1e-15, but C = kappa^2/4 + delta_a^2 - lam^2 rounds
+# to exactly 0.0: the gain and the moments divide by it
+EDGE = OscillatorParams(freq_a=0.0, kappa=1.3323786876174037,
+                        delta_a=-48.63142453435272, lam=48.635987298319)
+GRID = np.linspace(-60.0, 60.0, 41)
+FRAME = frame_of(OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0,
+                                  lam=10.0))
+Q = TransmonParams(delta_q=-80.0, g=4.9)
+ENTRY_POINTS = {
+    "gamma_signal": lambda p: gamma_signal(p, 0.0),
+    "gamma_idler": lambda p: gamma_idler(p, 0.0),
+    "peak_gain": lambda p: peak_gain(p, GRID),
+    "gain_summary": lambda p: gain_summary(p, GRID),
+    "fit_bandwidth": fit_bandwidth,
+    "signal_spectrum": lambda p: signal_spectrum(p, GRID),
+    "steady_moments": steady_moments,
+    "anomalous_moment": lambda p: anomalous_moment(p, FRAME),
+    "build_liouvillian": build_liouvillian,
+    "qubit_shift_dephasing": lambda p: qubit_shift_dephasing(p, Q),
+}
+RESONANT_ONLY = {
+    "resonant_steady_state": resonant_steady_state,
+    "resonant_shift": lambda p: resonant_shift(p, -0.1),
+}
+
+
+class TestOneStabilityRule:
+    """Every entry point refuses an unstable pump with the one check's
+    StabilityError, and with it the draw whose C rounds to zero."""
+
+    @pytest.mark.parametrize("pump", sorted(UNSTABLE))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_unstable_pump_refused(self, entry, pump):
+        with pytest.raises(StabilityError, match="lambda_crit"):
+            ENTRY_POINTS[entry](UNSTABLE[pump])
+
+    @pytest.mark.parametrize("entry", sorted(RESONANT_ONLY))
+    def test_unstable_resonant_pump_refused(self, entry):
+        with pytest.raises(StabilityError, match="lambda_crit"):
+            RESONANT_ONLY[entry](UNSTABLE["resonant"])
+
+    @pytest.mark.parametrize("entry", ["gamma_signal", "steady_moments",
+                                       "fit_bandwidth"])
+    def test_zero_c_refused(self, entry):
+        assert EDGE.lam < lambda_critical(EDGE.kappa, EDGE.delta_a)
+        with pytest.raises(StabilityError, match="lambda_crit"):
+            ENTRY_POINTS[entry](EDGE)
 
 
 class TestBogoliubovFrame:

@@ -38,7 +38,9 @@ def check_spectra(out: Path) -> None:
                                     "gain_and_bandwidth.py",
                                     "qubit_shift_under_squeezing.py"])
 def test_demo_runs(tmp_path, script):
-    argv = [sys.executable, str(ROOT / "demos" / script)]
+    # pyproject's filterwarnings reaches in-process tests only
+    argv = [sys.executable, "-W", "error::RuntimeWarning",
+            str(ROOT / "demos" / script)]
     if script == "gain_and_bandwidth.py":
         argv.append(str(tmp_path / "out"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

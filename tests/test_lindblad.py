@@ -17,6 +17,7 @@ from boqsim import (
     DriveSpec,
     OscillatorParams,
     TransmonParams,
+    StabilityError,
     TruncationError,
     UnstableDynamics,
     anomalous_moment,
@@ -84,7 +85,7 @@ class TestConfig:
                 > build_liouvillian(mild).n_fock >= 16)
 
     def test_default_n_fock_unstable(self):
-        with pytest.raises(UnstableDynamics):
+        with pytest.raises(StabilityError, match="lambda_crit"):
             build_liouvillian(OscillatorParams(freq_a=0.0, kappa=8.7,
                                                delta_a=0.0, lam=5.0))
 
@@ -92,7 +93,7 @@ class TestConfig:
         # stable (lambda_crit = 20.468), but lam >= |delta_a| leaves no
         # squeezing frame to size the truncation by
         (20.2, TruncationError),
-        (20.5, UnstableDynamics),
+        (20.5, StabilityError),
     ], ids=["below_lambda_crit", "above_lambda_crit"])
     def test_unsized_truncation_is_unstable_only_past_lambda_crit(
             self, lam, error):
@@ -146,8 +147,18 @@ class TestSteadyState:
 
     def test_unstable_dynamics_rejected(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=4.5)
-        with pytest.raises(UnstableDynamics):
+        with pytest.raises(StabilityError, match="lambda_crit"):
             build_liouvillian(p, n_fock=16)
+
+    def test_failed_solve_is_unstable_dynamics(self, monkeypatch):
+        # UnstableDynamics is the residual check's: a solve that does not
+        # satisfy L rho = 0 is refused, not reported
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
+        liou = build_liouvillian(p, n_fock=16)
+        monkeypatch.setattr(lindblad, "_sector_rho",
+                            lambda liou: np.eye(liou.dim) / liou.dim)
+        with pytest.raises(UnstableDynamics, match="residual"):
+            steady_state(liou, check_convergence=False)
 
     def test_convergence_check_over_budget_refused_before_solving(
             self, monkeypatch):

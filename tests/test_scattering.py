@@ -25,6 +25,7 @@ from boqsim import (
     GridTooCoarseError,
     OscillatorParams,
     StabilityError,
+    check_stable,
     fit_bandwidth,
     gain_summary,
     gamma_idler,
@@ -177,7 +178,8 @@ def power_gain_candidates():
     amplification was introduced."""
     return mock.patch.multiple(
         scattering,
-        _amplification=lambda p, w: np.abs(scattering._signal(p, w)) ** 2,
+        _amplification=lambda p, c, w: np.abs(
+            scattering._signal(p, c, w)) ** 2,
         _local_maxima=loop_local_maxima)
 
 
@@ -240,7 +242,7 @@ def assert_closed_form_peaks(p: OscillatorParams, grid: np.ndarray,
         assert peak[1] == pytest.approx(g_pk, rel=1e-9)
         assert on_top(peak[0])
     else:
-        amp = scattering._amplification(p, grid)
+        amp = scattering._amplification(p, check_stable(p), grid)
         edge, inner = (0, 1) if amp[0] >= amp[-1] else (-1, -2)
         assert peak[1] <= (1.0 + amp[edge]) * (1.0 + 1e-14)
         assert peak[1] >= (1.0 + amp[inner]) * (1.0 - 1e-14)
@@ -338,7 +340,8 @@ class TestPeakCandidates:
         for p in (P_DETUNED, P_RESONANT):
             w = np.linspace(-80.0, 80.0, 41)
             expect = [abs(langevin_oracle(p, x)[1]) ** 2 for x in w]
-            assert scattering._amplification(p, w) == pytest.approx(
+            assert scattering._amplification(
+                p, check_stable(p), w) == pytest.approx(
                 expect, rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -381,14 +384,15 @@ class TestPeakCandidates:
                              lam=lam)
         c = kappa ** 2 / 4.0 + delta_a ** 2 - lam ** 2
         x_pk = max(0.0, c - kappa ** 2 / 2.0)
-        assume(scattering._amplification(p, math.sqrt(x_pk)) >= 1e-6)
+        assume(scattering._amplification(p, check_stable(p),
+                                         math.sqrt(x_pk)) >= 1e-6)
         span = reach * max(3.0 * kappa, 2.0 * abs(delta_a) + 3.0 * kappa)
         grid = np.linspace(-span, span, n) + shift * span
 
         new = summary_or_error(p, grid)
         new_peak = peak_gain(p, grid)
         assert_closed_form_peaks(p, grid, new, new_peak)
-        amp = scattering._amplification(p, grid)
+        amp = scattering._amplification(p, check_stable(p), grid)
         # how far each grid maximum stands above its neighbours, relative
         # to the gain (0 on a tie)
         margin = min((min(amp[i] - amp[i - 1], amp[i] - amp[i + 1])
