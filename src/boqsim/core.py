@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 
 class StabilityError(ValueError):
-    """A pump at or past its instability threshold (check_stable), or one
-    whose squeezing frame is undefined (frame_of)."""
+    """A pump at or past its instability threshold, lambda_crit
+    (check_stable)."""
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -165,14 +165,16 @@ def frame_of(params: OscillatorParams) -> BogoliubovFrame:
 
     r = atanh(lam/|delta_a|)/2, S(dB) = 10 log10 e^{2r},
     Omega_a = delta_a/cosh(2r) = sign(delta_a) sqrt(delta_a^2 - lam^2).
+    Outside that regime (delta_a = 0, or lam >= |delta_a|, stable or not)
+    there is no squeezing frame, and a plain ValueError is raised; whether
+    the pump is stable is check_stable's question.
     """
     if params.delta_a == 0.0:
-        raise StabilityError("delta_a = 0: the squeezing frame is undefined "
-                             "(resonant regime)")
+        raise ValueError("delta_a = 0: no squeezing frame (resonant regime)")
     if params.lam >= abs(params.delta_a):
-        raise StabilityError(
+        raise ValueError(
             f"lam = {params.lam} >= |delta_a| = {abs(params.delta_a)}: "
-            "diagonalization undefined")
+            "no squeezing frame")
     r = 0.5 * math.atanh(params.lam / abs(params.delta_a))
     omega_bog = params.delta_a / math.cosh(2.0 * r)
     return BogoliubovFrame(r=r, omega_bog=omega_bog)

@@ -26,14 +26,15 @@ U = exp(i pi a^dag a / 4) maps H = -(lam/2)(a^2 + a^dag^2) to
 acting on rho' = U rho U^dag is real.  In vec terms that is a diagonal
 similarity, rho'[i, j] = 1j^((i - j)/2) rho[i, j]; in the even sector i - j
 is even, every phase is exactly 1, 1j, -1 or -1j, and the gauged block is
-real bit for bit (the solve checks that, and raises otherwise).  The real,
-Hermitian rho' is symmetric, so the steady state is solved for rho'[i, j]
-with i <= j and i + j even: about dim^2/4 real unknowns instead of dim^2/2
-complex ones, with the same trace row and LU.  Every other steady state
-keeps the complex sector solve, as no diagonal similarity makes it real: a
-detuning delta_a puts -i delta_a (i - j) on the diagonal, the transmon's
-level detunings do the same, and a coherent drive mixes the sectors with a
-phase of its own.
+real bit for bit (the assembly checks that, and raises otherwise).  The
+real, Hermitian rho' is symmetric, so the steady state is solved for
+rho'[i, j] with i <= j and i + j even: about dim^2/4 real unknowns instead
+of dim^2/2 complex ones.  One function, _steady_system, assembles either
+system with the same trace row, and one LU solves it.  Every other steady
+state keeps the complex sector solve, as no diagonal similarity makes it
+real: a detuning delta_a puts -i delta_a (i - j) on the diagonal, the
+transmon's level detunings do the same, and a coherent drive mixes the
+sectors with a phase of its own.
 
 Sparse LU: every factorization (_factorize) orders the columns by minimum
 degree on A^T + A and pivots with threshold 0.1, preferring the diagonal
@@ -59,15 +60,17 @@ Truncation: every entry point takes n_fock, the Fock truncation, with None
 meaning the default truncation max(16, ceil(12 A + 10 n + 10)), A the
 anti-squeezing e^{2r} (S_inf on resonance) and n the estimated occupation
 (n_d cosh^2 r + sinh^2 r detuned, the closed-form n + n_d on resonance).
-One function, _sizing, reads the pump's regime and gives both; the
-truncation a run used is its result's n_fock.
+One function, _check_truncation, reads the pump's regime, gives both and
+applies the rules below; the truncation a run used is its result's n_fock.
 build_liouvillian, chi_exact and qubit_shift_dephasing (at lam = 0 too)
 refuse, with TruncationError and before any allocation, n_fock < 4, a
 truncation whose estimated occupation exceeds n_fock/4, or one with more
-than _MAX_UNKNOWNS unknowns.  A stable detuned pump with lam >= |delta_a|
-has no estimate and is refused the same way; past lambda_crit the refusal
-is core.check_stable's StabilityError.  UnstableDynamics is left for a
-steady-state solve that fails its residual check.
+than _MAX_UNKNOWNS unknowns.  Past lambda_crit the refusal is
+core.check_stable's StabilityError; a stable detuned pump with
+lam >= |delta_a| has no estimate and is refused by core.frame_of's
+ValueError (no squeezing frame), as chi_exact refuses delta_a = 0.
+UnstableDynamics is left for a steady-state solve that fails its residual
+check.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -149,31 +152,6 @@ class AmbiguousSector(RuntimeError):
     """Two Liouvillian eigenvalues overlap the target sector comparably."""
 
 
-def _sizing(p: OscillatorParams, drive: DriveSpec | None) -> tuple[float, int]:
-    """(estimated occupation, default truncation) of the pumped oscillator.
-
-    The occupation is n_d cosh^2 r + sinh^2 r when detuned and n + n_d on
-    resonance.  Squeezed states decay slowly in the number basis, so the
-    truncation also tracks the anti-squeezed quadrature variance
-    (proportional to e^{2r}, or to S_inf on resonance).  An unstable pump
-    raises StabilityError; a stable one with lam >= |delta_a| has no
-    squeezing frame to size by and raises TruncationError.
-    """
-    check_stable(p)
-    drive = DriveSpec() if drive is None else drive
-    if p.lam < abs(p.delta_a):  # never at delta_a = 0, as lam >= 0
-        frame = frame_of(p)
-        occ, anti = bo_occupation(frame, drive), math.exp(2.0 * frame.r)
-    elif p.delta_a == 0.0:
-        mom = resonant_steady_state(p)
-        occ, anti = mom.n_mean + drive.n_d, mom.s_inf
-    else:
-        raise TruncationError(
-            f"cannot size the truncation for lam = {p.lam} >= |delta_a| = "
-            f"{abs(p.delta_a)}")
-    return occ, max(16, math.ceil(12.0 * anti + 10.0 * occ + 10.0))
-
-
 def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1)
 
@@ -248,12 +226,24 @@ def _dissipator(c: np.ndarray) -> sp.csc_matrix:
 
 def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
                       n_fock: int | None, n_levels: int) -> int:
-    """The truncation to use, _sizing's default when n_fock is None.
-    Refuses, before allocating, n_fock < 4, an estimated occupation over
-    n_fock/4 and more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
+    """The truncation to use, the module docstring's default when n_fock is
+    None (squeezed states decay slowly in the number basis, so it tracks the
+    anti-squeezing as well as the occupation).  An unstable pump raises
+    check_stable's StabilityError, a stable detuned one with
+    lam >= |delta_a| frame_of's ValueError; TruncationError refuses, before
+    allocating, n_fock < 4, an estimated occupation over n_fock/4 and more
+    than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
     if n_fock is not None and n_fock < 4:
         raise TruncationError(f"n_fock = {n_fock} is below 4")
-    occ, needed = _sizing(p, drive)
+    check_stable(p)
+    drive = DriveSpec() if drive is None else drive
+    if p.delta_a == 0.0:
+        mom = resonant_steady_state(p)
+        occ, anti = mom.n_mean + drive.n_d, mom.s_inf
+    else:
+        frame = frame_of(p)
+        occ, anti = bo_occupation(frame, drive), math.exp(2.0 * frame.r)
+    needed = max(16, math.ceil(12.0 * anti + 10.0 * occ + 10.0))
     if n_fock is None:
         n_fock = needed
     if occ > n_fock / 4.0:
@@ -344,24 +334,6 @@ def _factorize(mat: sp.spmatrix) -> spla.SuperLU:
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
-def _sector_rho(liou: LiouvillianMatrix) -> np.ndarray:
-    """Steady state from the even parity sector (the full space when
-    driven), complex."""
-    dim = liou.dim
-    sec = _parity_sector(liou, 0)
-    # replace the first equation (that of rho[0, 0], sec[0]) by the
-    # unit-trace condition; the diagonal of rho lies in the even sector
-    diag = np.searchsorted(sec, np.arange(dim) * (dim + 1))
-    trace_row = sp.csr_matrix((np.ones(dim), (np.zeros(dim, dtype=int), diag)),
-                              shape=(1, len(sec)))
-    mat = sp.vstack([trace_row, liou.matrix[sec[1:]][:, sec]], format="csc")
-    rhs = np.zeros(len(sec), dtype=complex)
-    rhs[0] = 1.0
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[sec] = _factorize(mat).solve(rhs)
-    return vec.reshape((dim, dim), order="F")
-
-
 def _gauge(dim: int) -> np.ndarray:
     """g[i, j] = 1j^((i - j)/2), exactly 1, 1j, -1 or -1j; rho' = g * rho is
     U rho U^dag, U = exp(i pi a^dag a / 4), on the even sector (where i - j
@@ -370,57 +342,63 @@ def _gauge(dim: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[steps % 4]
 
 
-def _symmetric_half_system(liou: LiouvillianMatrix
-                           ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """(matrix, i, j): the gauged Liouvillian on the unknowns rho'[i, j],
-    i <= j and i + j even, row by row (rho'[0, 0] first), the equation of
-    rho'[0, 0] replaced by the unit-trace condition.  The matrix is complex;
-    for the resonant, undriven oscillator alone its imaginary part is
-    exactly zero (see the module docstring)."""
+def _steady_system(liou: LiouvillianMatrix
+                   ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray, bool]:
+    """(matrix, i, j, real): the Liouvillian on the steady state's
+    unknowns, row by row, the equation of the first, [0, 0], replaced by
+    the unit-trace condition.  The unknowns are rho[i, j] of the even
+    sector (every entry when driven) and the matrix is complex; for the
+    resonant, undriven oscillator alone (real is True) they are rho'[i, j],
+    i <= j and i + j even, of the gauged, symmetric rho' (see the module
+    docstring), and the matrix is real: a gauged entry that is not raises
+    RuntimeError."""
     dim = liou.dim
-    i, j = np.triu_indices(dim)
-    even = (i + j) % 2 == 0
-    i, j = i[even], j[even]
+    real = (liou.transmon is None and not _driven(liou)
+            and liou.params.delta_a == 0.0)
+    if real:
+        i, j = np.triu_indices(dim)
+        even = (i + j) % 2 == 0
+        i, j = i[even], j[even]
+    else:
+        sec = _parity_sector(liou, 0)
+        i, j = sec % dim, sec // dim
     n = len(i)
-    # rho' is symmetric: both of its triangles map onto the one unknown
     unknown = np.empty((dim, dim), dtype=int)
-    unknown[i, j] = unknown[j, i] = np.arange(n)
+    unknown[i, j] = np.arange(n)
+    if real:
+        # rho' is symmetric: both of its triangles map onto the one unknown
+        unknown[j, i] = unknown[i, j]
     unknown = unknown.reshape(-1, order="F")
-    gauge = _gauge(dim).reshape(-1, order="F")
     rows = i[1:] + j[1:] * dim
     eqs = liou.matrix[rows].tocoo()
-    # L' = G L G^-1 entry by entry: each factor is a power of 1j, so every
-    # product is exact
-    data = eqs.data * gauge[rows][eqs.row] * np.conj(gauge[eqs.col])
+    data = eqs.data
+    if real:
+        # L' = G L G^-1 entry by entry: each factor is a power of 1j, so
+        # every product is exact
+        gauge = _gauge(dim).reshape(-1, order="F")
+        data = data * gauge[rows][eqs.row] * np.conj(gauge[eqs.col])
+        if np.any(data.imag != 0.0):
+            raise RuntimeError("the gauged resonant Liouvillian is not real")
+        data = data.real
+    # the diagonal of rho lies in the even sector
     diag = unknown[np.arange(dim) * (dim + 1)]
     mat = sp.csc_matrix(
         (np.concatenate([np.ones(dim), data]),
          (np.concatenate([np.zeros(dim, dtype=int), eqs.row + 1]),
           np.concatenate([diag, unknown[eqs.col]]))), shape=(n, n))
-    return mat, i, j
-
-
-def _real_symmetric_rho(liou: LiouvillianMatrix) -> np.ndarray:
-    """Steady state of the resonant, undriven oscillator alone from the
-    real, symmetric half of its gauged even sector."""
-    mat, i, j = _symmetric_half_system(liou)
-    if np.any(mat.data.imag != 0.0):
-        raise RuntimeError("the gauged resonant Liouvillian is not real")
-    rhs = np.zeros(mat.shape[0])
-    rhs[0] = 1.0
-    # .real is a strided view of the complex entries; SuperLU needs a copy
-    half = _factorize(mat.real.copy()).solve(rhs)
-    rho = np.zeros((liou.dim, liou.dim))
-    rho[i, j] = rho[j, i] = half
-    return rho * np.conj(_gauge(liou.dim))
+    return mat, i, j, real
 
 
 def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
-    if (liou.transmon is None and not _driven(liou)
-            and liou.params.delta_a == 0.0):
-        rho = _real_symmetric_rho(liou)
-    else:
-        rho = _sector_rho(liou)
+    mat, i, j, real = _steady_system(liou)
+    rhs = np.zeros(mat.shape[0], dtype=mat.dtype)
+    rhs[0] = 1.0
+    sol = _factorize(mat).solve(rhs)
+    rho = np.zeros((liou.dim, liou.dim), dtype=mat.dtype)
+    rho[i, j] = sol
+    if real:
+        rho[j, i] = sol
+        rho = rho * np.conj(_gauge(liou.dim))
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(liou.matrix @ rho.reshape(-1, order="F"))
     if not np.isfinite(residual) or residual > 1e-6 * max(
@@ -592,7 +570,8 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     """Dispersive strength from exact diagonalization of the joint
     Hamiltonian in the bare frame at truncation n_fock (None: the default
     truncation for p): the qubit-frequency shift per Bogoliubov
-    excitation, chi = (E_e1 - E_e0) - (E_g1 - E_g0).
+    excitation, chi = (E_e1 - E_e0) - (E_g1 - E_g0).  It refuses what
+    build_liouvillian refuses, and delta_a = 0 with frame_of's ValueError.
 
     Eigenstates are identified by maximal overlap with the squeezed-Fock
     product states.  When, for any of the four, a second eigenstate
@@ -603,10 +582,8 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     level spacings the dissipative coherence modes hybridize and a
     per-excitation reading is ill-defined.
     """
-    if p.delta_a == 0.0 or p.lam >= abs(p.delta_a):
-        raise ValueError("chi_exact requires the detuned regime "
-                         "lam < |delta_a|")
     n_fock = _check_truncation(p, None, n_fock, q.n_levels)
+    frame_of(p)  # the squeezed Fock states need a squeezing frame
     evals, evecs = np.linalg.eigh(_hamiltonian(p, q, None, n_fock))
     # squeezed Fock states |0_s>, |1_s>: the oscillator's two lowest
     # excitations, the lowest eigenvectors of sign(delta_a) H_osc

@@ -4,6 +4,7 @@ eigenvalues, and exact-diagonalization dispersive strengths."""
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,21 +90,26 @@ class TestConfig:
             build_liouvillian(OscillatorParams(freq_a=0.0, kappa=8.7,
                                                delta_a=0.0, lam=5.0))
 
-    @pytest.mark.parametrize("lam,error", [
+    @pytest.mark.parametrize("lam,unstable", [
         # stable (lambda_crit = 20.468), but lam >= |delta_a| leaves no
-        # squeezing frame to size the truncation by
-        (20.2, TruncationError),
-        (20.5, StabilityError),
+        # squeezing frame to size the truncation by: frame_of's refusal
+        (20.2, False),
+        (20.5, True),
     ], ids=["below_lambda_crit", "above_lambda_crit"])
     def test_unsized_truncation_is_unstable_only_past_lambda_crit(
-            self, lam, error):
+            self, lam, unstable):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=lam)
-        match = "size the truncation" if error is TruncationError else "crit"
-        for run in (lambda: build_liouvillian(p),
-                    lambda: build_liouvillian(p, n_fock=64),
-                    lambda: qubit_shift_dephasing(p, Q_OP)):
-            with pytest.raises(error, match=match):
+        runs = [lambda: build_liouvillian(p),
+                lambda: build_liouvillian(p, n_fock=64),
+                lambda: qubit_shift_dephasing(p, Q_OP),
+                lambda: chi_exact(p, Q_OP)]
+        if not unstable:
+            runs.append(lambda: frame_of(p))
+        match = "crit" if unstable else "squeezing frame"
+        for run in runs:
+            with pytest.raises(ValueError, match=match) as info:
                 run()
+            assert isinstance(info.value, StabilityError) == unstable
 
 
 class TestSteadyState:
@@ -152,13 +158,16 @@ class TestSteadyState:
 
     def test_failed_solve_is_unstable_dynamics(self, monkeypatch):
         # UnstableDynamics is the residual check's: a solve that does not
-        # satisfy L rho = 0 is refused, not reported
-        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
-        liou = build_liouvillian(p, n_fock=16)
-        monkeypatch.setattr(lindblad, "_sector_rho",
-                            lambda liou: np.eye(liou.dim) / liou.dim)
-        with pytest.raises(UnstableDynamics, match="residual"):
-            steady_state(liou, check_convergence=False)
+        # satisfy L rho = 0 is refused, not reported, on the complex
+        # (detuned) and the real (resonant) system alike
+        wrong = SimpleNamespace(solve=np.ones_like)
+        monkeypatch.setattr(lindblad, "_factorize", lambda mat: wrong)
+        for delta_a, lam in ((20.0, 6.0), (0.0, 2.0)):
+            p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=delta_a,
+                                 lam=lam)
+            liou = build_liouvillian(p, n_fock=16)
+            with pytest.raises(UnstableDynamics, match="residual"):
+                steady_state(liou, check_convergence=False)
 
     def test_convergence_check_over_budget_refused_before_solving(
             self, monkeypatch):
@@ -290,7 +299,7 @@ class TestChiExact:
 
     def test_requires_detuned_regime(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=1.0)
-        with pytest.raises(ValueError, match="detuned"):
+        with pytest.raises(ValueError, match="squeezing frame"):
             chi_exact(p, Q_OP, 16)
 
     def test_refuses_at_a_level_crossing(self):
@@ -585,12 +594,14 @@ class TestRealSymmetricSteadyState:
     def test_gauged_block_is_real_bit_for_bit(self, ratio, n_fock):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
                              lam=ratio * 8.7 / 2.0)
-        mat, i, j = lindblad._symmetric_half_system(
+        # the assembly raises unless every gauged entry's imaginary part is
+        # exactly zero
+        mat, i, j, real = lindblad._steady_system(
             build_liouvillian(p, n_fock=n_fock))
+        assert real and mat.dtype == np.float64
         assert mat.shape == (_half_size(n_fock),) * 2
         assert np.all(i <= j) and np.all((i + j) % 2 == 0)
-        assert np.all(mat.data.imag == 0.0)
-        assert np.count_nonzero(mat.data.real) > 0
+        assert np.count_nonzero(mat.data) > 0
 
     def test_complex_gauged_block_is_refused(self):
         # a global phase leaves the steady state as it was but makes the
