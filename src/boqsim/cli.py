@@ -175,12 +175,16 @@ def resolve_config(command: str, raw: dict) -> dict:
     return cfg
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, chunks) -> None:
+    """Write the str chunks in turn to a temporary file beside path, then
+    move it over path; an error on the way, raised by the chunks' iterator
+    too, leaves path as it was and removes the temporary file.  One string
+    goes in as a one-item sequence."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -198,7 +202,8 @@ def _fmt(val) -> str:
     return _spec(val) % (val,)
 
 
-# rows per % call on a float array: bounds the transient list of floats
+# rows per % call on a float block: bounds the transient list of floats
+# and the string written at once
 _CHUNK_ROWS = 4096
 
 
@@ -227,28 +232,39 @@ def write_csv(path: Path, meta: str, header: list[str], rows) -> None:
     """Write the metadata block meta (meta_block's lines), the header and
     the rows, each cell as _fmt writes it.
 
-    rows is a 2-D float64 array, or a sequence of rows whose cells keep one
-    _spec kind per column (float, or anything printed by str).  One row
-    format, read off the first row, formats the whole table; a row whose
-    cell kinds differ from the first row's raises ValueError."""
-    body = [meta, ",".join(header) + "\n"]
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.dtype != np.float64:
-            raise ValueError(f"expected a 2-D float64 table, got "
-                             f"{rows.ndim}-D {rows.dtype}")
-        line = ",".join([_spec(0.0)] * rows.shape[1]) + "\n"
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            body.append(line * len(chunk) % tuple(chunk.ravel().tolist()))
-    elif rows:
-        specs = list(map(_spec, rows[0]))
-        for row in rows:
-            if list(map(_spec, row)) != specs:
-                raise ValueError(f"row {row!r} does not match the first "
-                                 f"row's cell kinds {specs}")
-        line = ",".join(specs) + "\n"
-        body.append(line * len(rows) % tuple(v for row in rows for v in row))
-    write_atomic(path, "".join(body))
+    rows is a list of rows whose cells keep one _spec kind per column
+    (float, or anything printed by str): one row format, read off the first
+    row, formats them all, and a row whose cell kinds differ from the first
+    row's raises ValueError.  Otherwise rows is float blocks, written in
+    turn as they come: a 2-D float64 array of len(header) columns, or an
+    iterable of them; any other block raises ValueError."""
+    write_atomic(path, _csv_chunks(meta, header, rows))
+
+
+def _csv_chunks(meta: str, header: list[str], rows):
+    """write_csv's text, _CHUNK_ROWS rows of a float block at a time."""
+    yield meta + ",".join(header) + "\n"
+    if isinstance(rows, list):
+        if rows:
+            specs = list(map(_spec, rows[0]))
+            for row in rows:
+                if list(map(_spec, row)) != specs:
+                    raise ValueError(f"row {row!r} does not match the first "
+                                     f"row's cell kinds {specs}")
+            line = ",".join(specs) + "\n"
+            yield line * len(rows) % tuple(v for row in rows for v in row)
+        return
+    line = ",".join([_spec(0.0)] * len(header)) + "\n"
+    for block in [rows] if isinstance(rows, np.ndarray) else rows:
+        if not (isinstance(block, np.ndarray) and block.ndim == 2
+                and block.dtype == np.float64
+                and block.shape[1] == len(header)):
+            raise ValueError(
+                f"expected 2-D float64 blocks of {len(header)} columns, got "
+                f"{np.shape(block)} {getattr(block, 'dtype', type(block))}")
+        for start in range(0, len(block), _CHUNK_ROWS):
+            chunk = block[start:start + _CHUNK_ROWS]
+            yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
@@ -298,26 +314,30 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
     kappa, deltas = cfg["kappa"], cfg["delta_a_list"]
     probes = np.linspace(-cfg["probe_span"], cfg["probe_span"],
                          cfg["probe_points"])
-    blocks, skipped = [], []
-    for delta_a in deltas:
-        l_crit = lambda_critical(kappa, delta_a)
-        for lam in np.linspace(0.0, cfg["lam_max_factor"] * l_crit,
-                               cfg["lam_points"]):
-            try:
-                vals = scattering.gamma_signal(
-                    _oscillator(cfg, delta_a, float(lam)), probes)
-            except StabilityError:
-                skipped.append(f"delta_a={delta_a} lam={lam:.6g}: unstable")
-                continue
-            with np.errstate(divide="ignore"):
-                abs_db = 20.0 * np.log10(np.abs(vals))
-            blocks.append(np.column_stack(np.broadcast_arrays(
-                delta_a, lam, probes, abs_db, np.angle(vals))))
+    skipped = []
+
+    def blocks():
+        """One (delta_a, lam) block of rows at a time, as write_csv asks."""
+        for delta_a in deltas:
+            l_crit = lambda_critical(kappa, delta_a)
+            for lam in np.linspace(0.0, cfg["lam_max_factor"] * l_crit,
+                                   cfg["lam_points"]):
+                try:
+                    vals = scattering.gamma_signal(
+                        _oscillator(cfg, delta_a, float(lam)), probes)
+                except StabilityError:
+                    skipped.append(f"delta_a={delta_a} lam={lam:.6g}: "
+                                   "unstable")
+                    continue
+                with np.errstate(divide="ignore"):
+                    abs_db = 20.0 * np.log10(np.abs(vals))
+                yield np.column_stack(np.broadcast_arrays(
+                    delta_a, lam, probes, abs_db, np.angle(vals)))
+
     write_csv(out / "gain_map.csv", meta_block("gain_map", cfg, args),
-              ["delta_a", "lam", "freq_mhz", "abs_db", "phase_rad"],
-              np.concatenate(blocks))
+              ["delta_a", "lam", "freq_mhz", "abs_db", "phase_rad"], blocks())
     if skipped:
-        write_atomic(out / "gain_map.log", "\n".join(skipped) + "\n")
+        write_atomic(out / "gain_map.log", ["\n".join(skipped) + "\n"])
 
 
 def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
@@ -514,7 +534,7 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
         },
     }
     write_atomic(out / "oracle_report.json",
-                 json.dumps(report, indent=2) + "\n")
+                 [json.dumps(report, indent=2) + "\n"])
 
 
 COMMANDS = {

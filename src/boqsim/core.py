@@ -115,11 +115,18 @@ class TransmonParams:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Coherent drive on the oscillator at nu_p/2, the frame's frequency.
+    """Coherent drive resonant with the Bogoliubov oscillator, as the closed
+    forms (spectral.bo_occupation, shift_driven, dephasing_from_correlation)
+    read it: it adds n_d cosh^2 r quanta, whatever the sign of delta_a and
+    the drive's phase.
 
-    n_d : mean injected photon number with the pump off, |eps_d|^2/kappa^2
-    theta : drive phase in radians; theta = 0 puts the in-phase component
-        along the squeezed quadrature (resonant-pump convention)
+    n_d : drive strength, the quanta it adds with the pump off (r = 0)
+    theta : drive phase in radians; no closed form reads it
+
+    The Lindblad oracle means another drive: lindblad._hamiltonian puts
+    eps = kappa sqrt(n_d) e^{i(theta - pi/4)} at nu_p/2, the frame's
+    frequency, which adds n_d kappa^2 / (kappa^2 + 4 delta_a^2) quanta with
+    the pump off, n_d only at delta_a = 0.
     """
 
     n_d: float = 0.0

@@ -172,12 +172,16 @@ def peak_gain(p: OscillatorParams, grid) -> tuple[float, float]:
 
     Candidate grid maxima come from the cancellation-free amplification
     |Gamma_a|^2 - 1, so round-off wiggles of a near-unit gain are never
-    refined; each candidate is then refined on the power gain itself.
+    refined; each candidate is then refined on the power gain itself.  As
+    in gain_summary, GridTooCoarseError is raised when no interior grid
+    point is a maximum (the grid misses every top, or lam = 0 and the gain
+    is flat), rather than returning a grid edge.
     """
     c = check_stable(p)
     grid = np.asarray(grid, dtype=float)
-    amp = _amplification(p, c, grid)
-    maxima = _local_maxima(amp) or [int(np.argmax(amp))]
+    maxima = _local_maxima(_amplification(p, c, grid))
+    if not maxima:
+        raise GridTooCoarseError("no local gain maximum bracketed by grid")
     best = max((_refine_peak(p, c, grid, i) for i in maxima),
                key=lambda fg: fg[1])
     return best

@@ -105,6 +105,10 @@ def shift_driven(chi_r: float, frame: BogoliubovFrame, drive: DriveSpec,
 
     d_omega = chi[r] n_d cosh^2 r
     d_gamma_phi = (2 chi[r]^2 / kappa) (1 + 2 sinh^2 r) n_d cosh^2 r
+
+    No oracle checks it: the Lindblad oracle's drive sits at nu_p/2, not on
+    the BO (see DriveSpec), and a steady state cannot hold a drive at the
+    BO frequency.
     """
     nd_eff = drive.n_d * frame.cosh2
     d_omega = chi_r * nd_eff

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ import scipy
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import boqsim
+import make_golden
 from boqsim import cli, lindblad, scattering
 from boqsim.cli import main, parse_flat, read_config, resolve_config
 from boqsim.core import OscillatorParams, StabilityError, lambda_critical
@@ -106,6 +108,23 @@ class TestGainMap:
         assert len(skipped) == 2
         assert (out / "gain_map.log").read_text() == "\n".join(skipped) + "\n"
 
+    def test_memory_holds_one_block_whatever_lam_points(self, tmp_path):
+        # the table goes to disk one (delta_a, lam) block at a time; held
+        # whole, its traced peak grew with the blocks, 1.8 MB at 4 and
+        # 6.6 MB at 16, against 0.7 MB for both when streamed
+        def traced_peak(lam_points):
+            tracemalloc.start()
+            try:
+                code, _ = run(tmp_path / str(lam_points), "gain_map",
+                              config="delta_a_list = 0\nprobe_points = 2001\n"
+                                     f"lam_points = {lam_points}\n")
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(16) < 1.5 * traced_peak(4)
+
 
 def _reference_csv(meta, header, rows):
     """Reference writer: each cell formatted on its own, f"{v:.10g}" for a
@@ -169,10 +188,27 @@ class TestWriteCsv:
         np.ones((2, 3), dtype=np.int64),
         np.ones((2, 3), dtype=np.float32),
         np.ones(3),
-    ], ids=["int64", "float32", "1-D"])
+        np.ones((2, 2)),
+        # a bad block after a good one, some of it already written
+        iter([np.ones((2, 3)), np.ones((2, 3), dtype=np.float32)]),
+        iter([np.ones((2, 3)), np.ones(3)]),
+    ], ids=["int64", "float32", "1-D", "2-column", "float32_after_valid",
+            "1-D_after_valid"])
     def test_only_2d_float64_arrays_are_tables(self, tmp_path, rows):
+        # the error leaves the old file as it was and no t.csv.* behind
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
         with pytest.raises(ValueError, match="2-D float64"):
             self._written(tmp_path, ["a", "b", "c"], rows)
+        assert list(tmp_path.glob("t.csv.*")) == []
+        assert path.read_text() == "old\n"
+
+    def test_blocks_match_the_one_array(self, tmp_path):
+        rng = np.random.default_rng(6)
+        table = rng.standard_normal((2 * cli._CHUNK_ROWS + 7, 3))
+        blocks = iter(np.split(table, [0, 5, cli._CHUNK_ROWS + 5]))
+        assert (self._written(tmp_path, ["a", "b", "c"], blocks)
+                == _reference_csv(self.META, ["a", "b", "c"], list(table)))
 
     def test_failed_replace_removes_the_temp_file(self, tmp_path,
                                                   monkeypatch):
@@ -185,10 +221,23 @@ class TestWriteCsv:
 
         monkeypatch.setattr(cli.os, "replace", fail)
         with pytest.raises(OSError, match="replace failed"):
-            cli.write_atomic(path, "new\n")
+            cli.write_atomic(path, ["new\n"])
         monkeypatch.undo()
         assert list(tmp_path.glob("t.csv.*")) == []
         assert path.read_text() == "old\n"
+
+
+class TestGoldenOutputs:
+    # the outputs committed under tests/golden/, rewritten by
+    # tests/make_golden.py; the '#' block is compared by key set only
+    @pytest.mark.parametrize("run", sorted(make_golden.RUNS))
+    def test_outputs_match_the_committed_files(self, tmp_path, run):
+        made = make_golden.contract(run, tmp_path)
+        committed = {f"{run}/{path.name}": path.read_text()
+                     for path in (make_golden.GOLDEN / run).iterdir()}
+        assert sorted(made) == sorted(committed)
+        for name, text in made.items():
+            assert text == committed[name], name
 
 
 class TestGbw:

@@ -183,9 +183,10 @@ def power_gain_candidates():
         _local_maxima=loop_local_maxima)
 
 
-def summary_or_error(p, grid):
+def or_refusal(search, p, grid):
+    """search(p, grid), or the GridTooCoarseError class if it refuses."""
     try:
-        return scattering.gain_summary(p, grid)
+        return search(p, grid)
     except GridTooCoarseError as exc:
         return type(exc)
 
@@ -209,8 +210,8 @@ def assert_closed_form_peaks(p: OscillatorParams, grid: np.ndarray,
     D = (x - u)^2 + C^2 - u^2 with u = C - kappa^2/2, so A >= a holds on
     |x - u| <= R(a), R^2 = (x_pk - u)^2 + D_pk (A_pk / a - 1): its tops at
     +-w_pk = +-sqrt(max(u, 0)), their gain 1 + A_pk and the 3 dB crossings
-    follow without a search.  summ is a GainSummary or, for a refusal,
-    the GridTooCoarseError class.
+    follow without a search.  summ is a GainSummary and peak a (freq,
+    gain) pair or, for a refusal, the GridTooCoarseError class.
     """
     k, d, lam = p.kappa, p.delta_a, p.lam
     c = k * k / 4.0 + d * d - lam * lam
@@ -236,23 +237,14 @@ def assert_closed_form_peaks(p: OscillatorParams, grid: np.ndarray,
         lo, hi = x_range(tol)
         return math.sqrt(lo) <= abs(w) <= math.sqrt(hi)
 
-    # peak_gain: on a top in the grid's span, else inside the edge
-    # interval of the higher grid edge (the first on a tie, as np.argmax)
-    if grid[0] <= w_pk <= grid[-1] or grid[0] <= -w_pk <= grid[-1]:
-        assert peak[1] == pytest.approx(g_pk, rel=1e-9)
-        assert on_top(peak[0])
-    else:
-        amp = scattering._amplification(p, check_stable(p), grid)
-        edge, inner = (0, 1) if amp[0] >= amp[-1] else (-1, -2)
-        assert peak[1] <= (1.0 + amp[edge]) * (1.0 + 1e-14)
-        assert peak[1] >= (1.0 + amp[inner]) * (1.0 - 1e-14)
-        assert peak[0] == pytest.approx(grid[edge], abs=abs(
-            grid[edge] - grid[inner]))
-
-    if isinstance(summ, type):
-        # refused only where no grid point inside brackets a top
+    if isinstance(summ, type) or isinstance(peak, type):
+        # both refused, and only where no grid point inside brackets a
+        # top: a grid that misses every top never returns its edge
+        assert summ is peak
         assert int(np.argmax(idler_power(p, grid))) in (0, len(grid) - 1)
         return
+    assert peak[1] == pytest.approx(g_pk, rel=1e-9)
+    assert on_top(peak[0])
     # the tops the grid resolves: those nearest (on the same side; one top
     # when w_pk = 0) to an interior grid point whose Langevin idler power
     # stands above both neighbours by more than `tie`, relative
@@ -326,8 +318,21 @@ class TestPeakCandidates:
 
     def test_unpumped_gain_has_no_peak(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=0.0)
+        for search in (gain_summary, peak_gain):
+            with pytest.raises(GridTooCoarseError):
+                search(p, self.GRID)
+
+    @pytest.mark.parametrize("lo,hi", [(-10.0, 10.0), (0.0, 10.0),
+                                       (30.0, 50.0)])
+    @pytest.mark.parametrize("search", [gain_summary, peak_gain])
+    def test_grid_missing_the_tops_is_refused(self, search, lo, hi):
+        # the tops sit at +-21.93 with gain 1.800; peak_gain once returned
+        # the grid edge, (-10.0, 1.165) over [-10, 10]
+        p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=20.0)
+        freq, gain = peak_gain(p, self.GRID)
+        assert (abs(freq), gain) == pytest.approx((21.933, 1.8), abs=1e-3)
         with pytest.raises(GridTooCoarseError):
-            gain_summary(p, self.GRID)
+            search(p, np.linspace(lo, hi, 201))
 
     def test_weak_pump_peak_sits_at_sideband(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=30.0, lam=1e-6)
@@ -389,8 +394,8 @@ class TestPeakCandidates:
         span = reach * max(3.0 * kappa, 2.0 * abs(delta_a) + 3.0 * kappa)
         grid = np.linspace(-span, span, n) + shift * span
 
-        new = summary_or_error(p, grid)
-        new_peak = peak_gain(p, grid)
+        new = or_refusal(gain_summary, p, grid)
+        new_peak = or_refusal(peak_gain, p, grid)
         assert_closed_form_peaks(p, grid, new, new_peak)
         amp = scattering._amplification(p, check_stable(p), grid)
         # how far each grid maximum stands above its neighbours, relative
@@ -406,14 +411,14 @@ class TestPeakCandidates:
             # neighbour and so the other top: only the closed form checks.
             return
         with power_gain_candidates():
-            ref = summary_or_error(p, grid)
-            ref_peak = peak_gain(p, grid)
+            ref = or_refusal(gain_summary, p, grid)
+            ref_peak = or_refusal(peak_gain, p, grid)
 
-        assert new_peak[1] == pytest.approx(ref_peak[1], rel=1e-14)
         if isinstance(ref, type):
-            assert new is ref
+            assert new is ref and ref_peak is ref
             return
         assert not isinstance(new, type)
+        assert new_peak[1] == pytest.approx(ref_peak[1], rel=1e-14)
         assert new.n_peaks == ref.n_peaks
         assert new.g_max == pytest.approx(ref.g_max, rel=1e-14)
         assert new.bw_3db == pytest.approx(ref.bw_3db, rel=1e-13)
