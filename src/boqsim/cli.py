@@ -5,8 +5,9 @@ oracle comparisons, emitting self-describing CSV/JSON for external plotting.
 The one module that knows the config format: it reads the file, types
 every value from SCHEMA and echoes the resolved config in each CSV's `#` block.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure; errors are
-reported as one-line JSON on stderr.
+Exit codes: 0 success, 2 config error (an unreadable config, and an --out
+that cannot be created or written, included), 3 numerical failure; errors
+are reported as one-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -336,8 +337,12 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
 
     write_csv(out / "gain_map.csv", meta_block("gain_map", cfg, args),
               ["delta_a", "lam", "freq_mhz", "abs_db", "phase_rad"], blocks())
+    # a log left by an earlier run would describe another table
+    log = out / "gain_map.log"
     if skipped:
-        write_atomic(out / "gain_map.log", ["\n".join(skipped) + "\n"])
+        write_atomic(log, ["\n".join(skipped) + "\n"])
+    else:
+        log.unlink(missing_ok=True)
 
 
 def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
@@ -586,7 +591,8 @@ def main(argv=None) -> int:
         return _report(exc, "config")
     try:
         COMMANDS[args.command](cfg, out, args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # an output it cannot write is --out's fault, as above
         return _report(exc, "config")
     except (lindblad.UnstableDynamics, lindblad.AmbiguousSector, ArpackError,
             ValueError) as exc:

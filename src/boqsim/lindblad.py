@@ -86,13 +86,15 @@ joint state (qubit in |g> up to O((g/Delta)^2)) selects the same one.
 Levels: the joint space keeps n_fock Fock levels times
 TransmonParams.n_levels transmon levels (one level, the oscillator alone,
 when no transmon is given); the unknowns budget is the only bound on the
-transmon levels.
+transmon levels.  _operators builds the joint-space a, b and level number
+that the Hamiltonian, every jump, the moments and the eigensolve target
+read, so a change of basis made there reaches them all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,15 +154,20 @@ class AmbiguousSector(RuntimeError):
     """Two Liouvillian eigenvalues overlap the target sector comparably."""
 
 
-def destroy(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1)
-
-
-def transmon_level_detunings(q: TransmonParams) -> np.ndarray:
-    """delta_k = k delta_q + k(k-1)/2 chi_q for k < q.n_levels (rotating
-    frame at nu_p/2)."""
-    k = np.arange(q.n_levels, dtype=float)
-    return k * q.delta_q + 0.5 * k * (k - 1.0) * q.chi_q
+def _operators(n_fock: int, n_levels: int
+               ) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """(a, b, level number) in the joint space, basis state k * n_fock + n
+    for transmon level k and Fock number n, as sparse matrices: the
+    oscillator's and the transmon's lowering operators and diag(k) (not
+    b^dag b, whose sqrt(k) sqrt(k) products are not exact integers)."""
+    dim = n_levels * n_fock
+    k, n = np.divmod(np.arange(dim), n_fock)
+    # a[i, i + 1] is sqrt(n) of state i + 1, zero where that state opens a
+    # level's block; b[i, i + n_fock] is sqrt(k) of state i + n_fock
+    return tuple(sp.diags(diag, offset, shape=(dim, dim), format="csr")
+                 for diag, offset in ((np.sqrt(n[1:]), 1),
+                                      (np.sqrt(k[n_fock:]), n_fock),
+                                      (k.astype(float), 0)))
 
 
 @dataclass(frozen=True)
@@ -182,40 +189,29 @@ class LiouvillianMatrix:
     def dim(self) -> int:
         return self.n_fock * self.n_transmon
 
-    @property
-    def a_full(self) -> np.ndarray:
-        """The oscillator's lowering operator in the joint space."""
-        return np.kron(np.eye(self.n_transmon), destroy(self.n_fock))
-
-    @property
-    def sigma_minus_full(self) -> np.ndarray | None:
-        """The transmon's lowering operator in the joint space, None for
-        the oscillator alone."""
-        if self.transmon is None:
-            return None
-        return np.kron(destroy(self.transmon.n_levels), np.eye(self.n_fock))
-
 
 def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
-                 drive: DriveSpec | None, n_fock: int) -> np.ndarray:
-    """Joint Hamiltonian in the bare basis."""
-    a = destroy(n_fock)
-    ident_f = np.eye(n_fock)
-    h_osc = (p.delta_a * a.conj().T @ a
-             - 0.5 * p.lam * (a @ a + a.conj().T @ a.conj().T))
+                 drive: DriveSpec | None, a: sp.csr_matrix,
+                 b: sp.csr_matrix, level: sp.csr_matrix) -> sp.csr_matrix:
+    """Joint Hamiltonian in the bare basis, from _operators' a, b and level
+    number (each product has one term per entry, so it is exact)."""
+    ad = a.conj().T
+    aa = a @ a
+    h = p.delta_a * ad @ a - 0.5 * p.lam * (aa + aa.conj().T)
     if drive is not None and drive.n_d > 0.0:
         eps = p.kappa * math.sqrt(drive.n_d) * np.exp(
             1j * (drive.theta - math.pi / 4.0))
-        h_osc = h_osc + 0.5 * eps * a + 0.5 * np.conj(eps) * a.conj().T
+        h = h + 0.5 * eps * a + 0.5 * np.conj(eps) * ad
     if q is None:
-        return h_osc
-    h_t = np.diag(transmon_level_detunings(q))
-    b = destroy(q.n_levels)  # lowering with sqrt(k+1) matrix elements
-    return (np.kron(np.eye(q.n_levels), h_osc) + np.kron(h_t, ident_f)
-            + q.g * (np.kron(b.conj().T, a) + np.kron(b, a.conj().T)))
+        return h
+    # level k at k delta_q + k(k-1)/2 chi_q (rotating frame at nu_p/2)
+    k = level.diagonal()
+    hop = b.conj().T @ a
+    return (h + sp.diags(k * q.delta_q + 0.5 * k * (k - 1.0) * q.chi_q)
+            + q.g * (hop + hop.conj().T))
 
 
-def _dissipator(c: np.ndarray) -> sp.csc_matrix:
+def _dissipator(c: sp.spmatrix | np.ndarray) -> sp.csc_matrix:
     c = sp.csc_matrix(c)
     cd_c = (c.conj().T @ c).tocsc()
     ident = sp.identity(c.shape[0], format="csc")
@@ -273,24 +269,20 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
     """
     n_transmon = 1 if q is None else q.n_levels
     n_fock = _check_truncation(p, drive, n_fock, n_transmon)
-    h_s = sp.csc_matrix(_hamiltonian(p, q, drive, n_fock))
+    a, b, level = _operators(n_fock, n_transmon)
+    h_s = sp.csc_matrix(_hamiltonian(p, q, drive, a, b, level))
     ident = sp.identity(h_s.shape[0], format="csc")
     liou = (-1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))).tocsc()
-    # the jump operators are properties of the result: read them from the
-    # Hamiltonian part, and replace it by the whole Liouvillian
-    ops = LiouvillianMatrix(matrix=liou, n_fock=n_fock, params=p,
-                            transmon=q, drive=drive)
-    liou = liou + p.kappa * _dissipator(ops.a_full)
+    liou = liou + p.kappa * _dissipator(a)
     if q is not None:
         if q.gamma_1 > 0.0:
-            liou = liou + q.gamma_1 * _dissipator(ops.sigma_minus_full)
+            liou = liou + q.gamma_1 * _dissipator(b)
         if q.gamma_phi > 0.0:
-            # sqrt(2 gamma_phi) * diag(level number); equals
-            # sqrt(gamma_phi/2) sigma_z for two levels up to an identity shift
-            num_t = np.diag(np.arange(n_transmon, dtype=float))
-            num_full = np.kron(num_t, np.eye(n_fock))
-            liou = liou + 2.0 * q.gamma_phi * _dissipator(num_full)
-    return replace(ops, matrix=liou)
+            # sqrt(2 gamma_phi) * level number; equals sqrt(gamma_phi/2)
+            # sigma_z for two levels up to an identity shift
+            liou = liou + 2.0 * q.gamma_phi * _dissipator(level)
+    return LiouvillianMatrix(matrix=liou, n_fock=n_fock, params=p,
+                             transmon=q, drive=drive)
 
 
 @dataclass(frozen=True)
@@ -408,15 +400,16 @@ def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
     return rho
 
 
-def _moments(rho: np.ndarray, a_full: np.ndarray,
+def _moments(rho: np.ndarray, a: sp.csr_matrix,
              thetas: np.ndarray) -> tuple[float, complex, np.ndarray,
                                           np.ndarray]:
     # <M> = tr(rho M) = sum(rho.T * M) for the four quadratic operators;
     # x_theta^2 and p_theta^2 expand into them exactly (a a^dag is kept:
-    # in the truncated space it is not a^dag a + 1)
-    a, ad = a_full, a_full.conj().T
-    aa, adad, aad, ada = (np.sum(rho.T * (m1 @ m2)) for m1, m2 in
-                          ((a, a), (ad, ad), (a, ad), (ad, a)))
+    # in the truncated space it is not a^dag a + 1); each product is laid
+    # out in C order, since np.sum's summation order follows the layout
+    ad = a.conj().T
+    aa, adad, aad, ada = (np.sum(rho.T * (m1 @ m2).toarray(order="C"))
+                          for m1, m2 in ((a, a), (ad, ad), (a, ad), (ad, a)))
     rot = np.exp(-2j * thetas) * aa + np.exp(2j * thetas) * adad
     var_x = 0.25 * np.real(rot + aad + ada)
     var_p = 0.25 * np.real(aad + ada - rot)
@@ -443,7 +436,8 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
         thetas = np.linspace(0.0, math.pi, 9)
     thetas = np.asarray(thetas, dtype=float)
     rho = _solve_steady_rho(liou)
-    n_mean, a_sq, var_x, var_p = _moments(rho, liou.a_full, thetas)
+    n_mean, a_sq, var_x, var_p = _moments(
+        rho, _operators(liou.n_fock, liou.n_transmon)[0], thetas)
     trace_residual = abs(np.trace(rho).real - 1.0)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     converged = True
@@ -451,7 +445,8 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
         liou2 = build_liouvillian(liou.params, liou.transmon, liou.drive,
                                   2 * liou.n_fock)
         rho2 = _solve_steady_rho(liou2)
-        n2, a2, vx2, vp2 = _moments(rho2, liou2.a_full, thetas)
+        n2, a2, vx2, vp2 = _moments(
+            rho2, _operators(liou2.n_fock, liou2.n_transmon)[0], thetas)
         scale = max(abs(n_mean), abs(a_sq), 0.25)
         moves = [abs(n2 - n_mean), abs(a2 - a_sq),
                  float(np.max(np.abs(vx2 - var_x))),
@@ -478,7 +473,8 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
                           sigma_guess: complex) -> complex:
     """Eigenvalue of the |g><e| qubit-coherence mode: the candidate that
     overlaps rho_target @ sigma_minus most (see the module docstring)."""
-    target = (rho_target @ liou.sigma_minus_full).reshape(-1, order="F")
+    sigma_minus = _operators(liou.n_fock, liou.n_transmon)[1]
+    target = (rho_target @ sigma_minus).reshape(-1, order="F")
     # even rho_target x odd sigma_minus: the odd sector drops only zeros
     sec = _parity_sector(liou, 1)
     target = target[sec] / np.linalg.norm(target)
@@ -584,10 +580,11 @@ def chi_exact(p: OscillatorParams, q: TransmonParams,
     """
     n_fock = _check_truncation(p, None, n_fock, q.n_levels)
     frame_of(p)  # the squeezed Fock states need a squeezing frame
-    evals, evecs = np.linalg.eigh(_hamiltonian(p, q, None, n_fock))
-    # squeezed Fock states |0_s>, |1_s>: the oscillator's two lowest
-    # excitations, the lowest eigenvectors of sign(delta_a) H_osc
-    h_osc = _hamiltonian(p, None, None, n_fock)
+    h = _hamiltonian(p, q, None, *_operators(n_fock, q.n_levels)).toarray()
+    evals, evecs = np.linalg.eigh(h)
+    # squeezed Fock states |0_s>, |1_s>: the lowest eigenvectors of
+    # sign(delta_a) H_osc, the ground level's block of H
+    h_osc = h[:n_fock, :n_fock]
     sq = np.linalg.eigh(math.copysign(1.0, p.delta_a) * h_osc)[1][:, :2]
     # products |k>|n_s> in the order g0, g1, e0, e1
     targets = np.kron(np.eye(q.n_levels)[:, :2], sq)

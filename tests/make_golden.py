@@ -1,19 +1,23 @@
-"""The committed output contract of the closed-form CLI commands.
+"""The committed output contract of the CLI commands.
 
     PYTHONPATH=src python tests/make_golden.py
 
 runs each entry of RUNS through boqsim.cli.main with --no-timestamp and
-rewrites tests/golden/ from the outputs.  Each output file is kept as its
-`#` keys (values dropped: they hold the library versions) followed by its
-body; a body of more than DIGEST_ABOVE lines is kept as its SHA-256 and
-every ROW_STRIDE-th row.  test_cli.TestGoldenOutputs reruns the same
-commands and compares.  A change that means to move an output regenerates
-these files in the same commit, so the move shows as a diff.
+rewrites tests/golden/ from the outputs.  Each CSV is kept as its `#` block,
+with the values of the *_version lines dropped, followed by its body; a body
+of more than DIGEST_ABOVE lines is kept as its SHA-256 and every
+ROW_STRIDE-th row.  A JSON report is kept as it is.  test_cli.
+TestGoldenOutputs reruns the same commands and compares: every line and
+cell exactly, but for the oracle's values (ORACLE_COLUMNS, and the JSON
+leaves is_oracle_leaf names), which it compares to ORACLE_RTOL.  A change
+that means to move an output regenerates these files in the same commit, so
+the move shows as a diff.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import shutil
 import sys
 import tempfile
@@ -30,7 +34,20 @@ RUNS = {
     "qubit_response": ("qubit_response", None, ()),
     "chi_sweep": ("chi_sweep", None, ()),
     "chi_sweep_snr30_seed3": ("chi_sweep", "snr_db = 30\n", ("--seed", "3")),
+    "qubit_response_oracle": (
+        "qubit_response", "delta_a_list = 20\nlam_points = 3\nn_fock = 32\n",
+        ("--oracle",)),
+    "oracle_compare_n_fock24": ("oracle_compare", "n_fock = 24\n", ()),
+    "chi_sweep_oracle": ("chi_sweep", None, ("--oracle",)),
 }
+
+# CSV columns the Lindblad oracle writes
+ORACLE_COLUMNS = ("d_omega_q_oracle", "d_gamma_phi_oracle", "chi_oracle")
+# oracle values agree to this, relative to max(|ref|, ORACLE_FLOOR); a
+# printed cell also to one unit in its 10th significant digit, since the
+# last digits of an oracle value vary from process to process
+ORACLE_RTOL = 1e-10
+ORACLE_FLOOR = 1e-3
 
 DIGEST_ABOVE = 1000
 ROW_STRIDE = 2000
@@ -49,16 +66,37 @@ def contract(run: str, work: Path) -> dict[str, str]:
         raise RuntimeError(f"{run}: {' '.join(argv)} failed")
     files = {}
     for path in sorted(out.iterdir()):
-        lines = path.read_text().splitlines(keepends=True)
-        keys = [line.split(" = ")[0] + "\n" for line in lines
-                if line.startswith("#")]
+        # read_text would turn each \r\n into \n
+        text = path.read_bytes().decode()
+        if path.suffix == ".json":
+            files[f"{run}/{path.name}"] = text
+            continue
+        lines = text.splitlines(keepends=True)
+        meta = [line.split(" = ")[0] + "\n" if "_version = " in line else line
+                for line in lines if line.startswith("#")]
         body = [line for line in lines if not line.startswith("#")]
         if len(body) > DIGEST_ABOVE:
             digest = hashlib.sha256("".join(body).encode()).hexdigest()
             files[f"{run}/{path.name}.sha256"] = digest + "\n"
             body = body[:1] + body[1::ROW_STRIDE]
-        files[f"{run}/{path.name}"] = "".join(keys + body)
+        files[f"{run}/{path.name}"] = "".join(meta + body)
     return files
+
+
+def is_oracle_leaf(key: str) -> bool:
+    """Whether a JSON report's leaf holds an oracle value or one derived
+    from it."""
+    return any(word in key for word in ("oracle", "exact", "rel_err"))
+
+
+def close(got: float, ref: float, printed: bool) -> bool:
+    """Whether the oracle value got matches ref (printed: a '%.10g' cell)."""
+    if not math.isfinite(ref):
+        return got == ref or (math.isnan(ref) and math.isnan(got))
+    slack = ORACLE_RTOL * max(abs(ref), ORACLE_FLOOR)
+    if printed and ref != 0.0:
+        slack += 10.0 ** (math.floor(math.log10(abs(ref))) - 9)
+    return abs(got - ref) <= slack
 
 
 def main() -> int:

@@ -76,6 +76,20 @@ class TestGainMap:
         assert (out / "gain_map.log").exists()
         assert "unstable" in (out / "gain_map.log").read_text()
 
+    def test_run_that_skips_nothing_removes_an_old_log(self, tmp_path):
+        # lam_max_factor = 1.0 reaches lambda_crit = 4.35 and logs it; a
+        # second run into the same --out stops at 2.175
+        cfg = "delta_a_list = 0\nprobe_points = 11\nlam_points = 3\n"
+        code, out = run(tmp_path, "gain_map",
+                        config=cfg + "lam_max_factor = 1.0\n")
+        assert code == 0
+        assert "lam=4.35: unstable" in (out / "gain_map.log").read_text()
+        code, out = run(tmp_path, "gain_map",
+                        config=cfg + "lam_max_factor = 0.5\n")
+        assert code == 0
+        assert read_csv(out / "gain_map.csv")[-1]["lam"] == "2.175"
+        assert not (out / "gain_map.log").exists()
+
     def test_float_blocks_match_the_per_row_loop(self, tmp_path):
         # lam_max_factor = 1.2 puts the top lam of each branch past the
         # critical line, so each branch skips a block
@@ -227,9 +241,59 @@ class TestWriteCsv:
         assert path.read_text() == "old\n"
 
 
+def _json_leaves(obj, key=""):
+    """(path, value) of every leaf of a parsed JSON report."""
+    if isinstance(obj, dict):
+        for sub, val in obj.items():
+            yield from _json_leaves(val, f"{key}/{sub}")
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _json_leaves(val, f"{key}[{i}]")
+    else:
+        yield key, obj
+
+
+def assert_matches_golden(name, made, committed):
+    """made equals the committed text byte for byte, but for oracle values,
+    which agree to make_golden's tolerance."""
+    if name.endswith(".json"):
+        got, ref = (dict(_json_leaves(json.loads(text)))
+                    for text in (made, committed))
+        assert list(got) == list(ref), name
+        for key, val in ref.items():
+            oracle = (isinstance(val, float)
+                      and make_golden.is_oracle_leaf(key.rsplit("/", 1)[-1]))
+            assert (make_golden.close(got[key], val, printed=False)
+                    if oracle else got[key] == val), (name, key, got[key], val)
+        return
+    header = next(line for line in committed.splitlines()
+                  if not line.startswith("#")).split(",")
+    if not any(col in make_golden.ORACLE_COLUMNS for col in header):
+        assert made == committed, name
+        return
+    got, ref = (text.splitlines(keepends=True) for text in (made, committed))
+    assert len(got) == len(ref), name
+    for line, ref_line in zip(got, ref):
+        if line == ref_line:
+            continue
+        assert not ref_line.startswith("#"), (name, line, ref_line)
+        body, ref_body = line.rstrip("\r\n"), ref_line.rstrip("\r\n")
+        # the line ends as the committed one does
+        assert line[len(body):] == ref_line[len(ref_body):], (name, line)
+        cells, ref_cells = body.split(","), ref_body.split(",")
+        assert len(cells) == len(ref_cells) == len(header), (name, line)
+        for col, cell, ref_cell in zip(header, cells, ref_cells):
+            assert cell == ref_cell or (
+                col in make_golden.ORACLE_COLUMNS and cell == cell.strip()
+                and make_golden.close(float(cell), float(ref_cell),
+                                      printed=True)), (
+                name, col, cell, ref_cell)
+
+
 class TestGoldenOutputs:
     # the outputs committed under tests/golden/, rewritten by
-    # tests/make_golden.py; the '#' block is compared by key set only
+    # tests/make_golden.py; the '#' block is compared without the version
+    # values, the oracle's values to make_golden.ORACLE_RTOL
     @pytest.mark.parametrize("run", sorted(make_golden.RUNS))
     def test_outputs_match_the_committed_files(self, tmp_path, run):
         made = make_golden.contract(run, tmp_path)
@@ -237,7 +301,42 @@ class TestGoldenOutputs:
                      for path in (make_golden.GOLDEN / run).iterdir()}
         assert sorted(made) == sorted(committed)
         for name, text in made.items():
-            assert text == committed[name], name
+            assert_matches_golden(name, text, committed[name])
+
+    def test_an_oracle_cell_moved_past_the_tolerance_fails(self):
+        committed = (make_golden.GOLDEN / "qubit_response_oracle"
+                     / "qubit_shift.csv").read_text()
+        lines = committed.splitlines(keepends=True)
+        cells = lines[-1].split(",")
+        header = next(line for line in lines
+                      if not line.startswith("#")).split(",")
+        col = header.index("d_omega_q_oracle")
+        ref = float(cells[col])
+        for rel, ok in ((2e-11, True), (1e-8, False)):
+            cells[col] = f"{ref * (1.0 + rel):.10g}"
+            made = "".join(lines[:-1]) + ",".join(cells)
+            if ok:
+                assert_matches_golden("t.csv", made, committed)
+            else:
+                with pytest.raises(AssertionError):
+                    assert_matches_golden("t.csv", made, committed)
+
+    @pytest.mark.parametrize("run", ["gbw", "qubit_response_oracle"])
+    def test_line_endings_are_compared(self, tmp_path, monkeypatch, run):
+        # a closed-form table is compared byte for byte, an oracle one line
+        # by line with each line's ending
+        real = cli.write_atomic
+        monkeypatch.setattr(cli, "write_atomic", lambda path, chunks: real(
+            path, (chunk.replace("\n", "\r\n") for chunk in chunks)))
+        made = make_golden.contract(run, tmp_path)
+        for name, text in made.items():
+            committed = (make_golden.GOLDEN / name).read_text()
+            crlf_body = "".join(
+                line if line.startswith("#") else line[:-1] + "\r\n"
+                for line in committed.splitlines(keepends=True))
+            for wrong in (text, crlf_body, committed[:-1]):
+                with pytest.raises(AssertionError):
+                    assert_matches_golden(name, wrong, committed)
 
 
 class TestGbw:
@@ -457,6 +556,19 @@ class TestContracts:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config" and "n_fock" in err["error"]
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        # a directory where gbw.csv goes: os.replace fails as the command
+        # writes, after the config and --out were accepted
+        (tmp_path / "out" / "gbw.csv").mkdir(parents=True)
+        code, out = run(tmp_path, "gbw",
+                        config="delta_a_list = 0\ngains_db = 6\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["kind"] == "config"
+        assert (out / "gbw.csv").is_dir()
+        assert not any(out.glob("gbw.csv.*"))
 
     def test_n_fock_below_four_is_config_error_without_oracle(self, tmp_path,
                                                                capsys):
