@@ -6,8 +6,9 @@ The one module that knows the config format: it reads the file, types
 every value from SCHEMA and echoes the resolved config in each CSV's `#` block.
 
 Exit codes: 0 success, 2 config error (an unreadable config, and an --out
-that cannot be created or written, included), 3 numerical failure; errors
-are reported as one-line JSON on stderr.
+that cannot be created or written, included), 3 numerical failure (an
+ArithmeticError such as an overflow included); errors are reported as
+one-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -180,10 +181,14 @@ def write_atomic(path: Path, chunks) -> None:
     """Write the str chunks in turn to a temporary file beside path, then
     move it over path; an error on the way, raised by the chunks' iterator
     too, leaves path as it was and removes the temporary file.  One string
-    goes in as a one-item sequence."""
+    goes in as a one-item sequence.  The file gets the mode open(path, "w")
+    gives a new file, 0o666 less the umask, not mkstemp's 0o600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -502,7 +507,7 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
             "lam_ratio": ratio,
             "n_mean_analytic": mom.n_mean, "n_mean_oracle": res.n_mean,
             "rel_err_n": _rel(res.n_mean, mom.n_mean),
-            "rel_err_a_sq": abs(res.a_sq - mom.a_sq) / abs(mom.a_sq),
+            "rel_err_a_sq": _rel(res.a_sq, mom.a_sq),
             "rel_err_var_max": float(max(
                 np.max(np.abs(res.var_x - vx) / vx),
                 np.max(np.abs(res.var_p - vp) / vp))),
@@ -595,7 +600,7 @@ def main(argv=None) -> int:
         # an output it cannot write is --out's fault, as above
         return _report(exc, "config")
     except (lindblad.UnstableDynamics, lindblad.AmbiguousSector, ArpackError,
-            ValueError) as exc:
+            ValueError, ArithmeticError) as exc:
         return _report(exc, "numerical")
     return 0
 

@@ -118,18 +118,19 @@ def _amplification(p: OscillatorParams, c: float, w: np.ndarray
 
 
 class GridTooCoarseError(ValueError):
-    """Grid fails to bracket the gain peaks for refinement."""
+    """Grid refused by gain_summary, and so by peak_gain: fewer than 5
+    points, not strictly increasing, or no interior gain maximum to refine
+    (the grid misses every top, or lam = 0 and the gain is flat)."""
 
 
 def _refine_peak(p: OscillatorParams, c: float, grid: np.ndarray, idx: int
                  ) -> tuple[float, float]:
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    if lo == hi:
-        raise GridTooCoarseError("cannot bracket peak at grid edge")
+    """The power gain's maximum between the neighbours of interior index
+    idx of a strictly increasing grid."""
     res = scipy.optimize.minimize_scalar(
         lambda w: -(np.abs(_signal(p, c, np.array([w]))) ** 2)[0],
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+        bounds=(grid[idx - 1], grid[idx + 1]), method="bounded",
+        options={"xatol": 1e-12})
     return float(res.x), float(-res.fun)
 
 
@@ -167,43 +168,25 @@ def _no_dip(p: OscillatorParams, c: float, w1: float, w2: float) -> bool:
     return mid >= min(a1, a2) * (1.0 - 8.0 * np.finfo(float).eps)
 
 
-def peak_gain(p: OscillatorParams, grid) -> tuple[float, float]:
-    """Refined (freq, gain) of the global power-gain maximum on the grid.
-
-    Candidate grid maxima come from the cancellation-free amplification
-    |Gamma_a|^2 - 1, so round-off wiggles of a near-unit gain are never
-    refined; each candidate is then refined on the power gain itself.  As
-    in gain_summary, GridTooCoarseError is raised when no interior grid
-    point is a maximum (the grid misses every top, or lam = 0 and the gain
-    is flat), rather than returning a grid edge.
-    """
-    c = check_stable(p)
-    grid = np.asarray(grid, dtype=float)
-    maxima = _local_maxima(_amplification(p, c, grid))
-    if not maxima:
-        raise GridTooCoarseError("no local gain maximum bracketed by grid")
-    best = max((_refine_peak(p, c, grid, i) for i in maxima),
-               key=lambda fg: fg[1])
-    return best
-
-
 def gain_summary(p: OscillatorParams, grid) -> GainSummary:
     """Locate gain peak(s) on the grid with local refinement and measure the
     3 dB bandwidth (full width at half the peak's power gain) around each.
 
-    As in peak_gain, the candidates are the grid maxima of the
-    cancellation-free amplification |Gamma_a|^2 - 1, which has at most two
-    (it is a Lorentzian in omega^2), so round-off wiggles of a near-unit gain
-    are never refined or counted as peaks.  Each bw_3db is exact given the
-    refined gain (_half_gain_width), and inf below gain 2, as |Gamma_a|^2 >= 1
+    The candidates are the grid maxima of the cancellation-free
+    amplification |Gamma_a|^2 - 1, which has at most two (it is a
+    Lorentzian in omega^2), so round-off wiggles of a near-unit gain are
+    never refined or counted as peaks; each is refined on the power gain
+    between its grid neighbours.  Each bw_3db is exact given the refined
+    gain (_half_gain_width), and inf below gain 2, as |Gamma_a|^2 >= 1
     everywhere.  GridTooCoarseError is raised only for fewer than 5 grid
-    points or no interior grid maximum (the grid misses every top, or
-    lam = 0 and the gain is flat).
+    points, a grid that is not strictly increasing, or no interior grid
+    maximum (the grid misses every top, or lam = 0 and the gain is flat).
     """
     c = check_stable(p)
     grid = np.asarray(grid, dtype=float)
-    if len(grid) < 5:
-        raise GridTooCoarseError("grid must contain at least 5 points")
+    if len(grid) < 5 or not np.all(np.diff(grid) > 0):
+        raise GridTooCoarseError(
+            "grid must hold at least 5 strictly increasing points")
     maxima = _local_maxima(_amplification(p, c, grid))
     if not maxima:
         raise GridTooCoarseError("no local gain maximum bracketed by grid")
@@ -219,6 +202,13 @@ def gain_summary(p: OscillatorParams, grid) -> GainSummary:
     best = max(uniq, key=lambda q: q.gain)
     return GainSummary(g_max=best.gain, peak_freq=best.freq,
                        bw_3db=best.bw_3db, peaks=tuple(uniq))
+
+
+def peak_gain(p: OscillatorParams, grid) -> tuple[float, float]:
+    """(peak_freq, g_max) of gain_summary(p, grid): the refined frequency
+    and power gain of the highest top, with gain_summary's refusals."""
+    s = gain_summary(p, grid)
+    return s.peak_freq, s.g_max
 
 
 def fit_bandwidth(p: OscillatorParams) -> tuple[float, bool]:

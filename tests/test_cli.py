@@ -5,6 +5,8 @@ import csv
 import importlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -240,6 +242,20 @@ class TestWriteCsv:
         assert list(tmp_path.glob("t.csv.*")) == []
         assert path.read_text() == "old\n"
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_takes_the_mode_open_gives(self, tmp_path, umask):
+        # mkstemp's 0o600 once survived the replace: gbw.csv came out
+        # -rw------- under umask 022
+        old = os.umask(umask)
+        try:
+            cli.write_atomic(tmp_path / "t.csv", ["new\n"])
+            (tmp_path / "ref.csv").open("w").close()
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "t.csv").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert mode == stat.S_IMODE((tmp_path / "ref.csv").stat().st_mode)
+
 
 def _json_leaves(obj, key=""):
     """(path, value) of every leaf of a parsed JSON report."""
@@ -360,17 +376,17 @@ class TestGbw:
             self, tmp_path):
         # the gain has at most two true maxima; refining round-off wiggles
         # of the near-unit gain at brentq's lam = 1e-6 end once cost 6031
-        # refinements over the default run's 118 searches
+        # refinements over the default run's 118 searches.  Every search is
+        # a gain_summary call, peak_gain's included, so a peak_gain call
+        # is not counted again.
         def spy(name):
             return mock.patch.object(scattering, name,
                                      wraps=getattr(scattering, name))
 
-        with spy("_refine_peak") as refine, spy("peak_gain") as peak, \
-                spy("gain_summary") as summary:
+        with spy("_refine_peak") as refine, spy("gain_summary") as summary:
             code, _ = run(tmp_path, "gbw")
         assert code == 0
-        searches = peak.call_count + summary.call_count
-        assert 0 < refine.call_count <= 2 * searches
+        assert 0 < refine.call_count <= 2 * summary.call_count
 
 
 class TestQubitResponse:
@@ -453,6 +469,16 @@ class TestOracleCompare:
         disp = report["dispersive"]
         assert disp["rel_err_chi"] < 0.10
         assert disp["rel_err_d_omega"] < 0.15
+
+    def test_zero_pump_ratio_has_zero_errors(self, tmp_path):
+        # <a^2> is exactly 0 at lam = 0, in the closed form and the oracle;
+        # rel_err_a_sq once divided by it
+        cfg = "lam_ratios = 0,0.5\nn_fock = 24\n"
+        code, out = run(tmp_path, "oracle_compare", config=cfg)
+        assert code == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        row = report["resonant_moments"][0]
+        assert row["lam_ratio"] == 0.0 and row["rel_err_a_sq"] == 0.0
 
 
 class TestContracts:
@@ -585,6 +611,15 @@ class TestContracts:
         cfg = write_cfg(tmp_path, "lam_ratios = 1.5\n")
         code = main(["oracle_compare", "--out", str(tmp_path), "--config",
                      str(cfg)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+    @pytest.mark.parametrize("command", ["gain_map", "gbw", "qubit_response",
+                                         "chi_sweep"])
+    def test_overflow_is_numerical_error(self, tmp_path, capsys, command):
+        # lambda_critical's kappa ** 2 overflows; the OverflowError once
+        # escaped main as a traceback with exit 1
+        code, _ = run(tmp_path, command, config="kappa = 1e200\n")
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
 

@@ -154,15 +154,47 @@ class TestGainSummary:
         assert narrow.bw_3db == pytest.approx(3.011139212408, rel=1e-12)
 
     def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarseError):
-            gain_summary(P_RESONANT, np.linspace(-40, 40, 4))
+        # peak_gain once refined the tied maxima of these 4 points
+        for search in (gain_summary, peak_gain):
+            with pytest.raises(GridTooCoarseError):
+                search(P_RESONANT, np.linspace(-40, 40, 4))
 
-    def test_peak_gain_matches_summary(self):
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.floats(0.5, 20.0), delta_a=st.floats(-60.0, 60.0),
+           ratio=st.floats(1e-4, 0.999),
+           n=st.sampled_from([400, 401, 2000, 2001]),
+           reach=st.floats(0.3, 3.0),
+           shift=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    # an even grid symmetric about the one top at 0 has two maxima there,
+    # at +-0.22; their refinements, 2.3e-7 apart and 3 ulp apart in gain,
+    # are one peak, and peak_gain once returned the other one
+    @example(kappa=17.33198898582279, delta_a=4.975346429891005,
+             ratio=0.29948220745779364, n=400, reach=1.441255497233678,
+             shift=0.0)
+    def test_peak_gain_matches_summary(self, kappa, delta_a, ratio, n, reach,
+                                       shift):
+        lam = ratio * lambda_critical(kappa, delta_a)
+        p = OscillatorParams(freq_a=0.0, kappa=kappa, delta_a=delta_a,
+                             lam=lam)
+        span = reach * max(3.0 * kappa, 2.0 * abs(delta_a) + 3.0 * kappa)
+        grid = np.linspace(-span, span, n) + shift * span
+        summ = or_refusal(gain_summary, p, grid)
+        peak = or_refusal(peak_gain, p, grid)
+        if isinstance(summ, type):
+            assert peak is summ
+        else:
+            assert peak == (summ.peak_freq, summ.g_max)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("search", [gain_summary, peak_gain])
+    def test_grid_not_strictly_increasing_is_refused(self, search, order):
+        # once refused only inside minimize_scalar, by scipy's "The lower
+        # bound exceeds the upper bound."
         grid = np.linspace(-70, 70, 2001)
-        freq, gain = peak_gain(P_DETUNED, grid)
-        summ = gain_summary(P_DETUNED, grid)
-        assert gain == pytest.approx(summ.g_max, rel=1e-12)
-        assert freq == pytest.approx(summ.peak_freq, abs=1e-9)
+        grid = (grid[::-1] if order == "reversed"
+                else np.random.default_rng(7).permutation(grid))
+        with pytest.raises(GridTooCoarseError, match="strictly increasing"):
+            search(P_DETUNED, grid)
 
 
 def loop_local_maxima(gains: np.ndarray) -> list[int]:
