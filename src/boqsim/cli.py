@@ -295,21 +295,16 @@ def _transmon(cfg: dict, delta_a: float) -> TransmonParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _lam_cap_detuned(delta_a: float, kappa: float) -> float:
-    """Largest pump amplitude kept in qubit-facing sweeps: the S_DB_CAP
-    squeezing amplitude, also below coalescence, so below the critical line."""
+def _lam_cap(delta_a: float, kappa: float) -> float:
+    """Largest pump amplitude kept in qubit-facing sweeps: where the
+    anti-squeezing reaches S_DB_CAP, on a detuned branch also below
+    coalescence, so below the critical line."""
+    if delta_a == 0.0:
+        return kappa / 2.0 * (1.0 - 1.0 / 10.0 ** (S_DB_CAP / 10.0))
     r_cap = S_DB_CAP * math.log(10.0) / 20.0
     lam = abs(delta_a) * math.tanh(2.0 * r_cap)
     l_co = lambda_coalescence(kappa, delta_a)
-    if l_co is not None:
-        lam = min(lam, 0.99 * l_co)
-    return lam
-
-
-def _lam_cap_resonant(kappa: float) -> float:
-    """Pump amplitude where the resonant anti-squeezing reaches S_DB_CAP."""
-    s_inf = 10.0 ** (S_DB_CAP / 10.0)
-    return kappa / 2.0 * (1.0 - 1.0 / s_inf)
+    return lam if l_co is None else min(lam, 0.99 * l_co)
 
 
 # ---------------------------------------------------------------------------
@@ -387,49 +382,58 @@ def cmd_gbw(cfg: dict, out: Path, args) -> None:
                "bw_fit", "bw_sqrt_g", "n_peaks", "merged"], rows)
 
 
-def _qubit_sweep(cfg: dict):
-    """The delta_a x lam grid of the qubit-facing commands, yielding
-    (p, q, frame, chi0, s_db).  frame is None at delta_a = 0 (resonant, no
-    squeezing frame); chi0 is the dispersive result at zero pump."""
-    kappa = cfg["kappa"]
-    for delta_a in cfg["delta_a_list"]:
-        q = _transmon(cfg, delta_a)
+def _qubit_point(cfg: dict, delta_a: float, lam: float, chi0=None):
+    """The qubit point (p, q, frame, chi0, chi, s_db) at (delta_a, lam).
+    frame is None at delta_a = 0 (resonant, no squeezing frame), where chi
+    is chi0.  chi0 is the dispersive result at zero pump, computed unless
+    given (a sweep passes one per delta_a); chi is the one at p."""
+    p, q = _oscillator(cfg, delta_a, lam), _transmon(cfg, delta_a)
+    frame = chi = None
+    if delta_a == 0.0:
+        s_db = 10.0 * math.log10(spectral.resonant_steady_state(p).s_inf)
+    else:
+        frame = frame_of(p)
+        chi = dispersive.chi_transmon(q, frame, kappa=p.kappa)
+        s_db = frame.s_db
+    if chi0 is None:
         chi0 = dispersive.chi_transmon(q, BogoliubovFrame(
-            r=0.0, omega_bog=delta_a), kappa=kappa)
-        lam_max = (_lam_cap_resonant(kappa) if delta_a == 0.0
-                   else _lam_cap_detuned(delta_a, kappa))
+            r=0.0, omega_bog=delta_a), kappa=p.kappa)
+    return p, q, frame, chi0, chi0 if chi is None else chi, s_db
+
+
+def _qubit_sweep(cfg: dict, oracle, width: int):
+    """The delta_a x lam grid of the qubit-facing commands, yielding
+    (point, cells) in sweep order, point as _qubit_point gives it.  The one
+    site that runs a command's per-point oracle: cells is oracle(*point),
+    its width oracle columns (0 without --oracle), at detuned points, and
+    width nans on the resonant rows, which have no squeezing frame."""
+    for delta_a in cfg["delta_a_list"]:
+        lam_max = _lam_cap(delta_a, cfg["kappa"])
+        chi0 = None
         for lam in np.linspace(0.0, lam_max, cfg["lam_points"]):
-            p = _oscillator(cfg, delta_a, float(lam))
-            if delta_a == 0.0:
-                s_inf = spectral.resonant_steady_state(p).s_inf
-                yield p, q, None, chi0, 10.0 * math.log10(s_inf)
-            else:
-                frame = frame_of(p)
-                yield p, q, frame, chi0, frame.s_db
+            point = _qubit_point(cfg, delta_a, float(lam), chi0)
+            frame, chi0 = point[2:4]
+            yield point, (oracle(*point) if width and frame is not None
+                          else (math.nan,) * width)
 
 
 def cmd_qubit_response(cfg: dict, out: Path, args) -> None:
+    def oracle(p, q, *_):
+        orc = lindblad.qubit_shift_dephasing(p, q, cfg["n_fock"])
+        return orc.d_omega_q, orc.d_gamma_phi
+
     shift_rows, deph_rows = [], []
-    for p, q, frame, chi0, s_db in _qubit_sweep(cfg):
-        if frame is None:
-            res = spectral.resonant_shift(p, chi0.chi)
-            flags = list(res.flags)
-        else:
-            chi_res = dispersive.chi_transmon(q, frame, kappa=p.kappa)
-            res = spectral.shift_undriven(chi_res, chi0, frame, p.kappa)
-            flags = list(res.flags)
-            if not chi_res.dispersive_valid:
-                flags.append("dispersive_invalid")
-        shift = [p.delta_a, p.lam, s_db, res.d_omega_q]
-        deph = [p.delta_a, p.lam, s_db, res.d_gamma_phi]
-        if args.oracle:
-            # as in chi_sweep, the oracle covers the detuned branch only
-            orc = (None if frame is None else lindblad.qubit_shift_dephasing(
-                p, q, cfg["n_fock"]))
-            shift.append(float("nan") if orc is None else orc.d_omega_q)
-            deph.append(float("nan") if orc is None else orc.d_gamma_phi)
-        shift_rows.append((*shift, ";".join(flags)))
-        deph_rows.append((*deph, ";".join(flags)))
+    for (p, _, frame, chi0, chi, s_db), orc in _qubit_sweep(
+            cfg, oracle, 2 if args.oracle else 0):
+        res = (spectral.resonant_shift(p, chi0.chi) if frame is None
+               else spectral.shift_undriven(chi, chi0, frame, p.kappa))
+        flags = list(res.flags)
+        # the resonant rows' chi is the zero-pump one, never flagged
+        if frame is not None and not chi.dispersive_valid:
+            flags.append("dispersive_invalid")
+        head = (p.delta_a, p.lam, s_db)
+        shift_rows.append((*head, res.d_omega_q, *orc[:1], ";".join(flags)))
+        deph_rows.append((*head, res.d_gamma_phi, *orc[1:], ";".join(flags)))
     meta = meta_block("qubit_response", cfg, args)
     for name, col, rows in (("qubit_shift.csv", "d_omega_q", shift_rows),
                             ("qubit_dephasing.csv", "d_gamma_phi", deph_rows)):
@@ -461,26 +465,21 @@ def _fit_chi_synthetic(chi_true: float, frame, kappa: float,
 
 
 def cmd_chi_sweep(cfg: dict, out: Path, args) -> None:
+    def oracle(p, q, _, chi0, *__):
+        # the closed-form chi0 stands in at lam = 0, which hides the oracle
+        # gap there; ROADMAP item 1 writes chi_exact with its reference refresh
+        return (chi0.chi if p.lam == 0.0
+                else lindblad.chi_exact(p, q, cfg["n_fock"]),)
+
     rng = np.random.default_rng(args.seed)
     rows = []
-    for p, q, frame, chi0, s_db in _qubit_sweep(cfg):
-        if frame is None:
-            # resonant branch: shift per intracavity photon; flat by
-            # construction of the photon-number normalization
-            chi_r = chi_fit = chi0.chi
-        else:
-            chi_r = dispersive.chi_transmon(q, frame, kappa=p.kappa).chi
-            chi_fit = _fit_chi_synthetic(chi_r, frame, p.kappa,
-                                         cfg["snr_db"], rng)
-        row = [p.delta_a, p.lam, s_db, chi_r, chi_fit]
-        if args.oracle:
-            if frame is None:
-                row.append(float("nan"))  # no squeezing frame at delta_a=0
-            elif p.lam == 0.0:
-                row.append(chi0.chi)
-            else:
-                row.append(lindblad.chi_exact(p, q, cfg["n_fock"]))
-        rows.append(tuple(row))
+    for (p, _, frame, _, chi, s_db), orc in _qubit_sweep(
+            cfg, oracle, 1 if args.oracle else 0):
+        # resonant branch: chi is chi0, the shift per intracavity photon;
+        # flat by construction of the photon-number normalization
+        chi_fit = (chi.chi if frame is None else _fit_chi_synthetic(
+            chi.chi, frame, p.kappa, cfg["snr_db"], rng))
+        rows.append((p.delta_a, p.lam, s_db, chi.chi, chi_fit, *orc))
     header = ["delta_a", "lam", "s_db", "chi_analytic", "chi_fit"]
     if args.oracle:
         header.append("chi_oracle")
@@ -493,13 +492,20 @@ def _rel(err_num: float, ref: float) -> float:
 
 
 def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
-    kappa = cfg["kappa"]
+    kappa, delta_a, lam = cfg["kappa"], cfg["delta_a"], cfg["lam"]
+    # the dispersive point first, so one with no squeezing frame is refused
+    # before any steady state runs.  _qubit_point goes resonant at
+    # delta_a = 0, so frame_of refuses it here, after q's config checks
+    if delta_a == 0.0:
+        _transmon(cfg, delta_a)
+        frame_of(_oscillator(cfg, delta_a, lam))
+    p, q, frame, chi0, chi, _ = _qubit_point(cfg, delta_a, lam)
     thetas = np.array([0.0, math.pi / 4.0, math.pi / 2.0])
     resonant = []
     for ratio in cfg["lam_ratios"]:
-        p = _oscillator(cfg, 0.0, ratio * kappa / 2.0)
-        mom = spectral.resonant_steady_state(p)
-        liou = lindblad.build_liouvillian(p)
+        p_res = _oscillator(cfg, 0.0, ratio * kappa / 2.0)
+        mom = spectral.resonant_steady_state(p_res)
+        liou = lindblad.build_liouvillian(p_res)
         res = lindblad.steady_state(liou, thetas=thetas)
         vx = np.array([mom.var_x(t) for t in thetas])
         vp = np.array([mom.var_p(t) for t in thetas])
@@ -514,16 +520,8 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
             "n_fock": res.n_fock,
             "truncation_converged": res.truncation_converged,
         })
-    delta_a, lam = cfg["delta_a"], cfg["lam"]
-    p = _oscillator(cfg, delta_a, lam)
-    q = _transmon(cfg, delta_a)
-    frame = frame_of(p)
-    chi_res = dispersive.chi_transmon(q, frame, kappa=kappa)
-    chi_res0 = dispersive.chi_transmon(q, BogoliubovFrame(
-        r=0.0, omega_bog=delta_a), kappa=kappa)
     anom = spectral.anomalous_moment(p, frame)
-    ana = spectral.shift_undriven(chi_res, chi_res0, frame, kappa,
-                                  anomalous=anom)
+    ana = spectral.shift_undriven(chi, chi0, frame, kappa, anomalous=anom)
     orc = lindblad.qubit_shift_dephasing(p, q, cfg["n_fock"])
     chi_ed = lindblad.chi_exact(p, q, cfg["n_fock"])
     report = {
@@ -538,9 +536,9 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
             "d_gamma_analytic": ana.d_gamma_phi,
             "d_gamma_oracle": orc.d_gamma_phi,
             "rel_err_d_gamma": _rel(orc.d_gamma_phi, ana.d_gamma_phi),
-            "chi_analytic": chi_res.chi,
+            "chi_analytic": chi.chi,
             "chi_exact": chi_ed,
-            "rel_err_chi": _rel(chi_ed, chi_res.chi),
+            "rel_err_chi": _rel(chi_ed, chi.chi),
         },
     }
     write_atomic(out / "oracle_report.json",

@@ -429,6 +429,27 @@ class TestQubitResponse:
             widths = {len(l.split(",")) for l in lines}
             assert widths == {len(lines[0].split(","))}, path.name
 
+    @pytest.mark.parametrize("command,solver,steps", [
+        ("qubit_response", "qubit_shift_dephasing", [0.0, 1.0, 2.0]),
+        # chi_sweep's lam = 0 cell is the closed-form chi0, not an oracle call
+        ("chi_sweep", "chi_exact", [1.0, 2.0]),
+    ])
+    def test_one_oracle_call_per_detuned_point(self, tmp_path, monkeypatch,
+                                               command, solver, steps):
+        # none on the resonant branch: its oracle cells are nan
+        real, calls = getattr(lindblad, solver), []
+
+        def spy(p, q, n_fock):
+            calls.append((p.delta_a, p.lam))
+            return real(p, q, n_fock)
+
+        monkeypatch.setattr(lindblad, solver, spy)
+        cfg = "delta_a_list = 0,20\nlam_points = 3\nn_fock = 12\n"
+        code, _ = run(tmp_path, command, "--oracle", config=cfg)
+        assert code == 0
+        lam_max = cli._lam_cap(20.0, 8.7)
+        assert calls == [(20.0, step * lam_max / 2.0) for step in steps]
+
 
 class TestChiSweep:
     def test_fit_round_trip_is_exact_without_noise(self, tmp_path):
@@ -456,6 +477,19 @@ class TestChiSweep:
         t3 = (out3 / "chi_vs_lambda.csv").read_text()
         assert t1 == t2 != t3
 
+    def test_oracle_leaves_the_fits_alone(self, tmp_path):
+        # the oracle draws nothing from the fits' rng, so they keep its order
+        cfg = ("delta_a_list = 0,20\nlam_points = 3\nn_fock = 12\n"
+               "snr_db = 30\n")
+        tables = []
+        for name, extra in (("plain", ()), ("oracle", ("--oracle",))):
+            code, out = run(tmp_path / name, "chi_sweep", "--seed", "3",
+                            *extra, config=cfg)
+            assert code == 0
+            tables.append([(r["chi_analytic"], r["chi_fit"])
+                           for r in read_csv(out / "chi_vs_lambda.csv")])
+        assert tables[0] == tables[1]
+
 
 class TestOracleCompare:
     def test_report_schema_and_small_errors(self, tmp_path):
@@ -479,6 +513,26 @@ class TestOracleCompare:
         report = json.loads((out / "oracle_report.json").read_text())
         row = report["resonant_moments"][0]
         assert row["lam_ratio"] == 0.0 and row["rel_err_a_sq"] == 0.0
+
+    @pytest.mark.parametrize("cfg,message", [
+        ("delta_a = 0\n", "delta_a = 0: no squeezing frame (resonant "
+                          "regime)"),
+        ("delta_a = 10\nlam = 12\n",
+         "lam = 12.0 >= |delta_a| = 10.0: no squeezing frame"),
+    ], ids=["resonant", "past_the_frame"])
+    def test_point_without_a_frame_is_refused_first(self, tmp_path, capsys,
+                                                    monkeypatch, cfg,
+                                                    message):
+        # the dispersive point is checked before any resonant row solves
+        def fail(*_args, **_kwargs):
+            raise AssertionError("a steady state ran before the refusal")
+
+        monkeypatch.setattr(lindblad, "steady_state", fail)
+        code, out = run(tmp_path, "oracle_compare", config=cfg)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": message, "kind": "numerical"}
+        assert not (out / "oracle_report.json").exists()
 
 
 class TestContracts:
