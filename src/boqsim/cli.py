@@ -383,22 +383,22 @@ def cmd_gbw(cfg: dict, out: Path, args) -> None:
 
 
 def _qubit_point(cfg: dict, delta_a: float, lam: float, chi0=None):
-    """The qubit point (p, q, frame, chi0, chi, s_db) at (delta_a, lam).
-    frame is None at delta_a = 0 (resonant, no squeezing frame), where chi
-    is chi0.  chi0 is the dispersive result at zero pump, computed unless
-    given (a sweep passes one per delta_a); chi is the one at p."""
+    """The qubit point (p, q, frame, chi0, chi, s_db) at (delta_a, lam);
+    frame is None at delta_a = 0 (resonant, no squeezing frame).  chi0, the
+    dispersive result at zero pump, is computed unless given; chi is at p."""
     p, q = _oscillator(cfg, delta_a, lam), _transmon(cfg, delta_a)
-    frame = chi = None
+    frame, zero = None, BogoliubovFrame(r=0.0, omega_bog=delta_a)
     if delta_a == 0.0:
         s_db = 10.0 * math.log10(spectral.resonant_steady_state(p).s_inf)
     else:
         frame = frame_of(p)
-        chi = dispersive.chi_transmon(q, frame, kappa=p.kappa)
         s_db = frame.s_db
     if chi0 is None:
-        chi0 = dispersive.chi_transmon(q, BogoliubovFrame(
-            r=0.0, omega_bog=delta_a), kappa=p.kappa)
-    return p, q, frame, chi0, chi0 if chi is None else chi, s_db
+        chi0 = dispersive.chi_transmon(q, zero, kappa=p.kappa)
+    # at lam = 0 frame_of gives exactly the zero-pump frame
+    chi = (chi0 if frame in (None, zero)
+           else dispersive.chi_transmon(q, frame, kappa=p.kappa))
+    return p, q, frame, chi0, chi, s_db
 
 
 def _qubit_sweep(cfg: dict, oracle, width: int):
@@ -493,13 +493,15 @@ def _rel(err_num: float, ref: float) -> float:
 
 def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
     kappa, delta_a, lam = cfg["kappa"], cfg["delta_a"], cfg["lam"]
-    # the dispersive point first, so one with no squeezing frame is refused
-    # before any steady state runs.  _qubit_point goes resonant at
-    # delta_a = 0, so frame_of refuses it here, after q's config checks
+    # the dispersive point and oracle first: no squeezing frame or a refused
+    # truncation fails before any steady state.  _qubit_point goes resonant
+    # at delta_a = 0, so frame_of refuses it here, after q's config checks
     if delta_a == 0.0:
         _transmon(cfg, delta_a)
         frame_of(_oscillator(cfg, delta_a, lam))
     p, q, frame, chi0, chi, _ = _qubit_point(cfg, delta_a, lam)
+    orc = lindblad.qubit_shift_dephasing(p, q, cfg["n_fock"])
+    chi_ed = lindblad.chi_exact(p, q, cfg["n_fock"])
     thetas = np.array([0.0, math.pi / 4.0, math.pi / 2.0])
     resonant = []
     for ratio in cfg["lam_ratios"]:
@@ -522,8 +524,6 @@ def cmd_oracle_compare(cfg: dict, out: Path, args) -> None:
         })
     anom = spectral.anomalous_moment(p, frame)
     ana = spectral.shift_undriven(chi, chi0, frame, kappa, anomalous=anom)
-    orc = lindblad.qubit_shift_dephasing(p, q, cfg["n_fock"])
-    chi_ed = lindblad.chi_exact(p, q, cfg["n_fock"])
     report = {
         "resonant_moments": resonant,
         "dispersive": {

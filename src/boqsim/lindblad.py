@@ -18,7 +18,7 @@ sector (a weak Z2 symmetry: Albert & Jiang, PRA 89, 022118 (2014)).  The
 steady state is solved in the even block and the |g><e| coherence
 eigenvalue in the odd block; a coherent drive breaks the symmetry, and the
 same functions then work in the full space.  Every steady state is still
-checked against the residual of the full Liouvillian.
+certified on the full Liouvillian (Certificate, below).
 
 Resonant oscillator alone: at delta_a = 0, undriven and without a transmon,
 U = exp(i pi a^dag a / 4) maps H = -(lam/2)(a^2 + a^dag^2) to
@@ -37,30 +37,34 @@ transmon's level detunings do the same, and a coherent drive mixes the
 sectors with a phase of its own.
 
 Sparse LU: every factorization (_factorize) orders the columns by minimum
-degree on A^T + A and pivots with threshold 0.1, preferring the diagonal
-(SuperLU's symmetric mode; X. S. Li, ACM TOMS 31, 302 (2005)).  The
-Liouvillian blocks are nearly structurally symmetric, and this gives about
-half the fill of the default COLAMD ordering.  ARPACK takes the one
-factorization of the coherence block - sigma I as its shift-invert operator
-for every pass, and the pick is read from one Arnoldi pass (tol = 1, 22
-back-solves at ARPACK's default Krylov size) over the _N_CANDIDATES Ritz
-pairs nearest sigma, which converges the target mode but not its
-runner-ups.  The ambiguity decision needs only their overlaps, which move by
-<= 1.1e-4 from one pass to machine precision over sideband-biased draws.
+degree on A^T + A and pivots with threshold 0.01, preferring the diagonal
+(SuperLU's symmetric mode; X. S. Li, ACM TOMS 31, 302 (2005)).  The Liouvillian
+blocks are nearly structurally symmetric, and this gives about half the fill of
+the default COLAMD ordering, at small kappa too (see _MAX_UNKNOWNS).  ARPACK
+takes the one factorization of the coherence block - sigma I as its
+shift-invert operator for every pass, and the pick is read from one Arnoldi
+pass (tol = 1, 22 back-solves at ARPACK's default Krylov size) over the
+_N_CANDIDATES Ritz pairs nearest sigma, which converges the target mode but not
+its runner-ups.  The ambiguity decision needs only their overlaps, which move
+by <= 1.1e-4 from one pass to machine precision over sideband-biased draws.
 Where the one-pass runner-up overlaps more than _RECHECK_RATIO = 0.8 of the
-best, within 0.1 of AmbiguousSector's 0.9, or where the pick is not the
-candidate nearest sigma (the window, centred on sigma, can then cut off a
-mode that competes with the pick: seen with the qubit on the oscillator),
-the 2 _N_CANDIDATES pairs nearest sigma are recomputed to machine precision
-and the decision is made from those.  Only the pick is certified: its
-eigenpair must have ||B v - mu v|| / ||v|| <= 1e-13 ||B||_1, or
-ArpackNoConvergence is raised.  At the benchmark's points one-pass picks are
-the candidates nearest sigma, have residuals below 4e-17 ||B||_1 and match a
-machine-precision run to 3e-16 relative; a one-pass pick that fails the
-bound (seen with the qubit on the oscillator) is recomputed too.  An ARPACK
-failure is raised as it is (the CLI reports it with exit 3):
-qubit_shift_dephasing reads a pump at or below _PUMP_FLOOR as none, and no
-pump above the floor has been seen to stall ARPACK.
+best, within 0.1 of AmbiguousSector's 0.9, where the pick fails its
+certificate, or where it is not the candidate nearest sigma (the window,
+centred on sigma, can then cut off a mode that competes with the pick: both
+seen with the qubit on the oscillator), the 2 _N_CANDIDATES pairs nearest sigma
+are recomputed to machine precision and the decision is made from those.  At
+the benchmark's points one-pass picks are the candidates nearest sigma and
+match a machine-precision run to 3e-16 relative.  An ARPACK failure is raised
+as it is (the CLI reports it with exit 3): qubit_shift_dephasing reads a pump
+at or below _PUMP_FLOOR as none, and no pump above the floor has been seen to
+stall ARPACK.
+
+Certificate: both solves are eigenpairs (mu, v) of a matrix M and must have
+_residual, ||M v - mu v|| / (||v|| ||M||_1), at most _RESIDUAL_BOUND = 1e-13
+(NaN fails): the steady state at mu = 0 of the full Liouvillian, else
+UnstableDynamics, and the coherence pick of the odd block, else
+ArpackNoConvergence.
+
 Truncation: every entry point takes n_fock, the Fock truncation, with None
 meaning the default truncation max(16, ceil(12 A + 10 n + 10)), A the
 anti-squeezing e^{2r} (S_inf on resonance) and n the estimated occupation
@@ -74,8 +78,6 @@ than _MAX_UNKNOWNS unknowns.  Past lambda_crit the refusal is
 core.check_stable's StabilityError; a stable detuned pump with
 lam >= |delta_a| has no estimate and is refused by core.frame_of's
 ValueError (no squeezing frame), as chi_exact refuses delta_a = 0.
-UnstableDynamics is left for a steady-state solve that fails its residual
-check.
 
 Pump-off reference: at lam = 0 with no drive every jump annihilates |g0>, so
 the coherences |g0><x|, x in {|e0>, |g1>}, evolve under the effective
@@ -110,28 +112,19 @@ from .core import (DriveSpec, OscillatorParams, TransmonParams, check_stable,
 from .spectral import SpectralShift, bo_occupation, resonant_steady_state
 
 
-# ARPACK's stopping test: ||r|| <= tol |theta| for every candidate Ritz pair
-# (scipy's default tol 0 means machine precision).  The coherence pick reads
-# one Arnoldi pass, tol 1 (22 back-solves at ARPACK's default Krylov size);
-# it converges the picked pair, which _EIG_RESIDUAL certifies, but not the
-# runner-ups
+# ARPACK's stopping test, ||r|| <= tol |theta| for every candidate Ritz pair
+# (scipy's tol 0 is machine precision): the coherence pick reads one pass
 _ONE_PASS_TOL = 1.0
-# a one-pass runner-up overlap above this fraction of the best (0.1 below
-# AmbiguousSector's 0.9; one pass moved measured ratios by <= 1.1e-4), a
-# one-pass pick that fails _EIG_RESIDUAL, or one that is not the candidate
-# nearest sigma, has twice the candidates recomputed to machine precision on
-# the same factorization, and the decision made from those
+# the one-pass runner-up overlap, relative to the best, above which the
+# candidates are recomputed (the module docstring's Sparse LU)
 _RECHECK_RATIO = 0.8
-# Ritz pairs nearest sigma among which one Arnoldi pass picks the coherence
-# mode and against which AmbiguousSector compares it (the recheck: twice as
-# many)
+# Ritz pairs nearest sigma that one pass compares (the recheck: twice as many)
 _N_CANDIDATES = 10
 # the 2x truncation check passes when no moment moves by this much (relative)
 _CONVERGENCE_FACTOR = 1e-6
-# largest accepted residual ||B v - mu v|| / ||v|| of the picked eigenpair,
-# relative to ||B||_1 (found below 1e-16 over random undriven systems and on
-# the benchmark's operating points)
-_EIG_RESIDUAL = 1e-13
+# largest accepted _residual (the module docstring's Certificate); measured:
+# steady states 6e-17 (the tests' draws), coherence picks 4e-17 (benchmark)
+_RESIDUAL_BOUND = 1e-13
 # qubit_shift_dephasing treats lam <= _PUMP_FLOOR * max(|delta_a|, kappa) as
 # lam = 0; such a pump moves the coherence eigenvalue by O(lam^2), ~1e-40
 # relative, where one Arnoldi pass can miss a comparable runner-up
@@ -141,13 +134,15 @@ _PUMP_FLOOR = 1e-20
 # at ~0.8 GB and takes ~5 s through the complex sector (detuned, lam = 17),
 # ~0.35 GB and 2-4 s for the resonant oscillator's real half; the default
 # truncation at lam = 0.99 kappa/2 would ask for 2.1M unknowns, whose LU
-# fill would exhaust a machine's memory
+# fill would exhaust a machine's memory.  The budget bounds memory while
+# test_fill_stays_on_the_ordering_at_small_kappa holds the fill near the
+# ordering's (at pivot threshold 0.1, 84 681 unknowns took 3.4 GB, kappa 0.2)
 _MAX_UNKNOWNS = 2 ** 19
 
 
 class UnstableDynamics(RuntimeError):
-    """A steady-state solve failed its residual check (an unstable pump is
-    refused before, with StabilityError)."""
+    """A steady-state solve failed its certificate, the residual check (an
+    unstable pump is refused before, with StabilityError)."""
 
 
 class TruncationError(ValueError):
@@ -325,9 +320,18 @@ def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:
 def _factorize(mat: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of a Liouvillian block, ordered for its nearly symmetric
     pattern: minimum degree on A^T + A with diagonal pivots preferred
-    (threshold 0.1), about half the fill of SuperLU's default COLAMD."""
+    (threshold 0.01), about half the fill of SuperLU's default COLAMD."""
     return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+                     diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+
+
+def _residual(mat: sp.spmatrix, vec: np.ndarray, val: complex = 0.0) -> float:
+    """||mat vec - val vec|| / (||vec|| ||mat||_1), the certificate; |mat|
+    shares mat's indices (spla.norm copies them: 6 MB more peak memory)."""
+    abs_mat = type(mat)((np.abs(mat.data), mat.indices, mat.indptr),
+                        shape=mat.shape)
+    return float(np.linalg.norm(mat @ vec - val * vec)
+                 / (np.linalg.norm(vec) * abs_mat.sum(axis=0).max()))
 
 
 def _gauge(dim: int) -> np.ndarray:
@@ -396,11 +400,10 @@ def _solve_steady_rho(liou: LiouvillianMatrix) -> np.ndarray:
         rho[j, i] = sol
         rho = rho * np.conj(_gauge(liou.dim))
     rho = 0.5 * (rho + rho.conj().T)
-    residual = np.linalg.norm(liou.matrix @ rho.reshape(-1, order="F"))
-    if not np.isfinite(residual) or residual > 1e-6 * max(
-            1.0, spla.norm(liou.matrix)):
+    res = _residual(liou.matrix, rho.reshape(-1, order="F"))
+    if not res <= _RESIDUAL_BOUND:
         raise UnstableDynamics(f"steady-state solve failed its residual "
-                               f"check: ||L rho|| = {residual:.3g}")
+                               f"check: {res:.3g} of ||L||_1")
     return rho
 
 
@@ -497,24 +500,21 @@ def _coherence_eigenvalue(liou: LiouvillianMatrix, rho_target: np.ndarray,
                     / np.linalg.norm(vecs, axis=0))
         return vals, vecs, overlaps
 
-    def residual(val, vec):
-        return np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
-
-    bound = _EIG_RESIDUAL * spla.norm(block, 1)
     vals, vecs, overlaps = candidates(_ONE_PASS_TOL, _N_CANDIDATES)
     second, best = np.argsort(overlaps)[-2:]
+    res = _residual(block, vecs[:, best], vals[best])
     if (overlaps[second] > _RECHECK_RATIO * overlaps[best]
-            or not residual(vals[best], vecs[:, best]) <= bound
+            or not res <= _RESIDUAL_BOUND
             or best != np.argmin(np.abs(vals - sigma_guess))):
         # the window, centred on sigma, may cut off a mode that competes
         # with a pick away from sigma: twice as many are compared
         vals, vecs, overlaps = candidates(0.0, 2 * _N_CANDIDATES)
     best = _unambiguous_pick(vals, overlaps)
-    val, res = vals[best], residual(vals[best], vecs[:, best])
-    if not res <= bound:
+    val, res = vals[best], _residual(block, vecs[:, best], vals[best])
+    if not res <= _RESIDUAL_BOUND:
         raise spla.ArpackNoConvergence(
-            f"coherence eigenpair {val:.6g} has residual {res:.3g}",
-            vals, vecs)
+            f"coherence eigenpair {val:.6g} has residual {res:.3g} of "
+            f"||B||_1", vals, vecs)
     return complex(val)
 
 

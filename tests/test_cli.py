@@ -519,11 +519,15 @@ class TestOracleCompare:
                           "regime)"),
         ("delta_a = 10\nlam = 12\n",
          "lam = 12.0 >= |delta_a| = 10.0: no squeezing frame"),
-    ], ids=["resonant", "past_the_frame"])
+        ("n_fock = 250\n", "n_fock = 250 with 3 transmon level(s) gives "
+                           "562500 unknowns, over the oracle's budget of "
+                           "524288"),
+    ], ids=["resonant", "past_the_frame", "over_budget"])
     def test_point_without_a_frame_is_refused_first(self, tmp_path, capsys,
                                                     monkeypatch, cfg,
                                                     message):
-        # the dispersive point is checked before any resonant row solves
+        # the dispersive point, and its oracle's truncation, are checked
+        # before any resonant row solves
         def fail(*_args, **_kwargs):
             raise AssertionError("a steady state ran before the refusal")
 
