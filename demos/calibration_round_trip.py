@@ -11,6 +11,7 @@ Run:  python3 demos/calibration_round_trip.py
 import numpy as np
 
 from boqsim import (
+    DriveSpec,
     OscillatorParams,
     add_complex_noise,
     fit_chi_enhanced,
@@ -18,6 +19,7 @@ from boqsim import (
     fit_lambda,
     fit_straddling,
     frame_of,
+    shift_driven,
     signal_spectrum,
 )
 from boqsim.calibration import straddling_chi
@@ -69,9 +71,10 @@ def main() -> None:
     frame = frame_of(p)
     chi_true = -0.62
     n_d = np.linspace(0.1, 0.6, 6)
-    dw = chi_true * n_d * frame.cosh2
-    dg = (2.0 * chi_true ** 2 / KAPPA * (1.0 + 2.0 * frame.sinh2)
-          * n_d * frame.cosh2)
+    shifts = [shift_driven(chi_true, frame, DriveSpec(n_d=n), KAPPA)
+              for n in n_d]
+    dw = np.array([s.d_omega_q for s in shifts])
+    dg = np.array([s.d_gamma_phi for s in shifts])
     dw = dw * (1.0 + 0.02 * RNG.standard_normal(len(n_d)))
     dg = dg * (1.0 + 0.02 * RNG.standard_normal(len(n_d)))
     rep = fit_chi_enhanced(n_d, dw, dg, frame, KAPPA)

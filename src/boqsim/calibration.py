@@ -2,23 +2,20 @@
 reflection gain, tilted-circle qubit line fits, straddling-regime (g, chi_q)
 extraction, and squeezing-enhanced chi.
 
-All fitters use damped least squares (scipy's trust-region reflective
-Levenberg-Marquardt variant) on smooth low-dimensional models.
+Every fit solves through _least_squares, damped least squares (scipy's
+trust-region reflective Levenberg-Marquardt variant) at one set of settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
 from .core import OscillatorParams, lambda_critical
 from .scattering import ComplexSpectrum, gamma_signal, lambda_for_gain
-
-MAX_ITER = 200
-GRAD_TOL = 1e-12
 
 
 class DegenerateFitError(ValueError):
@@ -56,7 +53,14 @@ class CircleModel:
     gamma_t: float
 
 
-def _report(res, names, n_data) -> FitReport:
+def _least_squares(resid, x0, max_nfev: int, bounds=(-np.inf, np.inf)):
+    """The solve every fit makes; only its budget and bounds vary."""
+    return scipy.optimize.least_squares(resid, x0, bounds=bounds, xtol=1e-14,
+                                        ftol=1e-14, gtol=1e-12,
+                                        max_nfev=max_nfev)
+
+
+def _report(res, names, n_data, flags=()) -> FitReport:
     dof = max(n_data - len(names), 1)
     sigma2 = 2.0 * res.cost / dof
     jtj = res.jac.T @ res.jac
@@ -66,7 +70,7 @@ def _report(res, names, n_data) -> FitReport:
         cov = np.full((len(names), len(names)), np.nan)
     return FitReport(params=dict(zip(names, map(float, res.x))),
                      covariance=cov, n_iter=int(res.nfev),
-                     converged=bool(res.status > 0))
+                     converged=bool(res.status > 0), flags=flags)
 
 
 def add_complex_noise(spectrum: ComplexSpectrum, snr_db: float,
@@ -119,14 +123,11 @@ def fit_lambda(spectrum: ComplexSpectrum, kappa: float,
         return np.concatenate([diff.real, diff.imag])
 
     x0 = np.array([_lambda_initial_guess(spectrum, kappa, delta_a)])
-    res = scipy.optimize.least_squares(
-        resid, x0, bounds=([0.0], [0.999999 * l_crit]), xtol=1e-14,
-        ftol=1e-14, gtol=GRAD_TOL, max_nfev=MAX_ITER * 4)
-    report = _report(res, ["lam"], 2 * len(freqs))
+    res = _least_squares(resid, x0, 800, ([0.0], [0.999999 * l_crit]))
     flags = ()
     if res.x[0] > 0.99 * l_crit:
         flags = ("near_stability_boundary",)
-    return replace(report, flags=flags)
+    return _report(res, ["lam"], 2 * len(freqs), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,10 @@ def fit_circle(spectrum: ComplexSpectrum
         return np.concatenate([diff.real, diff.imag])
 
     x0 = [offset0.real, offset0.imag, amp0, tilt0, nu_q0, gamma_t0]
-    res = scipy.optimize.least_squares(
-        resid, x0,
-        bounds=([-np.inf, -np.inf, 0.0, -2 * math.pi, -np.inf, 1e-9],
-                [np.inf, np.inf, np.inf, 2 * math.pi, np.inf, np.inf]),
-        xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL, max_nfev=MAX_ITER * 10)
+    res = _least_squares(
+        resid, x0, 2000,
+        ([-np.inf, -np.inf, 0.0, -2 * math.pi, -np.inf, 1e-9],
+         [np.inf, np.inf, np.inf, 2 * math.pi, np.inf, np.inf]))
     names = ["re_offset", "im_offset", "amp", "tilt", "nu_q", "gamma_t"]
     report = _report(res, names, 2 * len(freqs))
     amp, tilt, nu_q, gamma_t = res.x[2:]
@@ -234,22 +234,18 @@ def fit_straddling(deltas, chis) -> FitReport:
     for chi_q0 in (-30.0, -100.0, -300.0, 30.0):
         while np.any(np.abs(deltas + chi_q0) < 1e-6 * abs(chi_q0)):
             chi_q0 *= 1.03  # nudge the start off a pole of the model
-        trial = scipy.optimize.least_squares(
-            resid, [g0, chi_q0], xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
-            max_nfev=MAX_ITER * 10)
+        trial = _least_squares(resid, [g0, chi_q0], 2000)
         if trial.cost < best_cost:
             res, best_cost = trial, trial.cost
     if res is None:
         raise DegenerateFitError("no straddling fit converged")
-    report = _report(res, ["g", "chi_q"], len(deltas))
-    chi_q_fit = res.x[1]
     flags = ()
     same_side_zero = np.all(deltas > 0) or np.all(deltas < 0)
-    shifted = deltas + chi_q_fit
+    shifted = deltas + res.x[1]
     same_side_pole = np.all(shifted > 0) or np.all(shifted < 0)
     if same_side_zero and same_side_pole:
         flags = ("poorly_conditioned_one_sided",)
-    return replace(report, flags=flags)
+    return _report(res, ["g", "chi_q"], len(deltas), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,8 @@ def fit_straddling(deltas, chis) -> FitReport:
 
 def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
     """Joint fit of d_omega = chi n_d cosh^2 r and
-    d_gamma = (2 chi^2/kappa)(1 + 2 sinh^2 r) n_d cosh^2 r for scalar chi."""
+    d_gamma = (2 chi^2/kappa)(1 + 2 sinh^2 r) n_d cosh^2 r for scalar chi;
+    data with no drive (no n_d cosh^2 r > 0) raise DegenerateFitError."""
     n_d = np.asarray(n_d, dtype=float)
     d_omega = np.asarray(d_omega, dtype=float)
     d_gamma = np.asarray(d_gamma, dtype=float)
@@ -272,14 +269,11 @@ def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
             d_gamma - 2.0 * chi * chi / kappa * (1.0 + 2.0 * sh2) * nd_eff])
 
     mask = nd_eff > 0
-    chi0 = float(np.mean(d_omega[mask] / nd_eff[mask])) if mask.any() else -0.1
-    res = scipy.optimize.least_squares(
-        resid, [chi0 or -0.1], xtol=1e-14, ftol=1e-14, gtol=GRAD_TOL,
-        max_nfev=MAX_ITER * 4)
-    report = _report(res, ["chi"], 2 * len(n_d))
+    if not mask.any():
+        raise DegenerateFitError("no point has a drive, n_d cosh^2 r > 0")
+    chi0 = float(np.mean(d_omega[mask] / nd_eff[mask]))
+    res = _least_squares(resid, [chi0 or -0.1], 800)
     flags = ()
-    if mask.any():
-        slope_gamma = float(np.mean(d_gamma[mask] / nd_eff[mask]))
-        if slope_gamma < 0:
-            flags = ("inconsistent_dephasing_sign",)
-    return replace(report, flags=flags)
+    if np.mean(d_gamma[mask] / nd_eff[mask]) < 0:
+        flags = ("inconsistent_dephasing_sign",)
+    return _report(res, ["chi"], 2 * len(n_d), flags)

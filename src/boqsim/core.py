@@ -14,6 +14,7 @@ sign of delta_a is carried by the renormalized frequency Omega_a.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -90,7 +91,7 @@ class TransmonParams:
     chi_q : anharmonicity in MHz (negative for a transmon, ~ -E_C/h)
     gamma_1 : relaxation rate in MHz (>= 0)
     gamma_phi : pure dephasing rate in MHz (>= 0)
-    n_levels : number of retained levels (>= 2)
+    n_levels : number of retained levels (an integer >= 2)
     """
 
     delta_q: float
@@ -103,7 +104,8 @@ class TransmonParams:
     def __post_init__(self):
         _require_finite(self, "delta_q", "g", "chi_q", "gamma_1", "gamma_phi")
         _require(self.g > 0, "g must be positive")
-        _require(self.n_levels >= 2, "n_levels must be >= 2")
+        _require(isinstance(self.n_levels, numbers.Integral)
+                 and self.n_levels >= 2, "n_levels must be an integer >= 2")
         _require(self.gamma_1 >= 0 and self.gamma_phi >= 0,
                  "decay rates must be non-negative")
 

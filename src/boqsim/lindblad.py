@@ -72,9 +72,9 @@ anti-squeezing e^{2r} (S_inf on resonance) and n the estimated occupation
 One function, _check_truncation, reads the pump's regime, gives both and
 applies the rules below; the truncation a run used is its result's n_fock.
 build_liouvillian, chi_exact and qubit_shift_dephasing (at lam = 0 too)
-refuse, with TruncationError and before any allocation, n_fock < 4, a
-truncation whose estimated occupation exceeds n_fock/4, or one with more
-than _MAX_UNKNOWNS unknowns.  Past lambda_crit the refusal is
+refuse, with TruncationError and before any allocation, an n_fock not an
+integer >= 4, a truncation whose estimated occupation exceeds n_fock/4, or
+one with more than _MAX_UNKNOWNS unknowns.  Past lambda_crit the refusal is
 core.check_stable's StabilityError; a stable detuned pump with
 lam >= |delta_a| has no estimate and is refused by core.frame_of's
 ValueError (no squeezing frame), as chi_exact refuses delta_a = 0.
@@ -101,6 +101,7 @@ read, so a change of basis made there reaches them all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,10 +227,11 @@ def _check_truncation(p: OscillatorParams, drive: DriveSpec | None,
     anti-squeezing as well as the occupation).  An unstable pump raises
     check_stable's StabilityError, a stable detuned one with
     lam >= |delta_a| frame_of's ValueError; TruncationError refuses, before
-    allocating, n_fock < 4, an estimated occupation over n_fock/4 and more
-    than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
-    if n_fock is not None and n_fock < 4:
-        raise TruncationError(f"n_fock = {n_fock} is below 4")
+    allocating, an n_fock not an integer >= 4, an estimated occupation over
+    n_fock/4 and more than _MAX_UNKNOWNS unknowns, (n_fock * n_levels)^2."""
+    if n_fock is not None and not (isinstance(n_fock, numbers.Integral)
+                                   and n_fock >= 4):
+        raise TruncationError(f"n_fock = {n_fock!r} is not an integer >= 4")
     check_stable(p)
     drive = DriveSpec() if drive is None else drive
     if p.delta_a == 0.0:

@@ -9,15 +9,15 @@ of more than DIGEST_ABOVE lines is kept as its SHA-256 and every
 ROW_STRIDE-th row.  A JSON report is kept as it is.  test_cli.
 TestGoldenOutputs reruns the same commands and compares: every line and
 cell exactly, but for the oracle's values (ORACLE_COLUMNS, and the JSON
-leaves is_oracle_leaf names), which it compares to ORACLE_RTOL.  A change
-that means to move an output regenerates these files in the same commit, so
-the move shows as a diff.
+leaves is_oracle_leaf names), which it compares with the benchmark's rule
+for oracle values, perfbench.workloads._close.  A change that means to move
+an output regenerates these files in the same commit, so the move shows as
+a diff.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import shutil
 import sys
 import tempfile
@@ -43,11 +43,6 @@ RUNS = {
 
 # CSV columns the Lindblad oracle writes
 ORACLE_COLUMNS = ("d_omega_q_oracle", "d_gamma_phi_oracle", "chi_oracle")
-# oracle values agree to this, relative to max(|ref|, ORACLE_FLOOR); a
-# printed cell also to one unit in its 10th significant digit, since the
-# last digits of an oracle value vary from process to process
-ORACLE_RTOL = 1e-10
-ORACLE_FLOOR = 1e-3
 
 DIGEST_ABOVE = 1000
 ROW_STRIDE = 2000
@@ -87,16 +82,6 @@ def is_oracle_leaf(key: str) -> bool:
     """Whether a JSON report's leaf holds an oracle value or one derived
     from it."""
     return any(word in key for word in ("oracle", "exact", "rel_err"))
-
-
-def close(got: float, ref: float, printed: bool) -> bool:
-    """Whether the oracle value got matches ref (printed: a '%.10g' cell)."""
-    if not math.isfinite(ref):
-        return got == ref or (math.isnan(ref) and math.isnan(got))
-    slack = ORACLE_RTOL * max(abs(ref), ORACLE_FLOOR)
-    if printed and ref != 0.0:
-        slack += 10.0 ** (math.floor(math.log10(abs(ref))) - 9)
-    return abs(got - ref) <= slack
 
 
 def main() -> int:

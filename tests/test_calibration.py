@@ -140,6 +140,14 @@ class TestFitChiEnhanced:
         rep = fit_chi_enhanced(n_d, dw, -np.abs(dw), frame, KAPPA)
         assert "inconsistent_dephasing_sign" in rep.flags
 
+    def test_data_with_no_drive_is_refused(self):
+        # with every n_d = 0 no point constrains chi; the fit used to answer
+        # its own start value, chi = -0.1, as converged
+        p = OscillatorParams(freq_a=0.0, kappa=KAPPA, delta_a=20.0, lam=17.0)
+        zeros = np.zeros(3)
+        with pytest.raises(DegenerateFitError, match="drive"):
+            fit_chi_enhanced(zeros, zeros, zeros, frame_of(p), KAPPA)
+
 
 class TestNoiseAndReports:
     def test_noise_matches_requested_snr(self):

@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import importlib
 import json
 import math
 import os
@@ -23,6 +22,7 @@ import make_golden
 from boqsim import cli, lindblad, scattering
 from boqsim.cli import main, parse_flat, read_config, resolve_config
 from boqsim.core import OscillatorParams, StabilityError, lambda_critical
+from perfbench import workloads
 
 FAST_GAIN_MAP = "delta_a_list = 0,30\nprobe_points = 41\nlam_points = 4\n"
 
@@ -271,7 +271,7 @@ def _json_leaves(obj, key=""):
 
 def assert_matches_golden(name, made, committed):
     """made equals the committed text byte for byte, but for oracle values,
-    which agree to make_golden's tolerance."""
+    which agree to the benchmark's oracle tolerance (workloads._close)."""
     if name.endswith(".json"):
         got, ref = (dict(_json_leaves(json.loads(text)))
                     for text in (made, committed))
@@ -279,7 +279,7 @@ def assert_matches_golden(name, made, committed):
         for key, val in ref.items():
             oracle = (isinstance(val, float)
                       and make_golden.is_oracle_leaf(key.rsplit("/", 1)[-1]))
-            assert (make_golden.close(got[key], val, printed=False)
+            assert (workloads._close(got[key], val, workloads.ORACLE, False)
                     if oracle else got[key] == val), (name, key, got[key], val)
         return
     header = next(line for line in committed.splitlines()
@@ -301,15 +301,15 @@ def assert_matches_golden(name, made, committed):
         for col, cell, ref_cell in zip(header, cells, ref_cells):
             assert cell == ref_cell or (
                 col in make_golden.ORACLE_COLUMNS and cell == cell.strip()
-                and make_golden.close(float(cell), float(ref_cell),
-                                      printed=True)), (
+                and workloads._close(float(cell), float(ref_cell),
+                                     workloads.ORACLE, True)), (
                 name, col, cell, ref_cell)
 
 
 class TestGoldenOutputs:
     # the outputs committed under tests/golden/, rewritten by
     # tests/make_golden.py; the '#' block is compared without the version
-    # values, the oracle's values to make_golden.ORACLE_RTOL
+    # values, the oracle's values to the benchmark's oracle tolerance
     @pytest.mark.parametrize("run", sorted(make_golden.RUNS))
     def test_outputs_match_the_committed_files(self, tmp_path, run):
         made = make_golden.contract(run, tmp_path)
@@ -930,11 +930,9 @@ class TestSerialization:
         got = read_config(path)
         assert got == data and type(got["lam_points"]) is int
 
-    def test_benchmark_configs_read_as_json_numbers(self, monkeypatch):
+    def test_benchmark_configs_read_as_json_numbers(self):
         # every flat config the benchmark and these tests run resolves to
         # the values of the same numbers given as JSON
-        monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
-        workloads = importlib.import_module("perfbench.workloads")
         configs = list(FAST_CONFIGS.items())
         for spec in workloads.SIZES.values():
             configs += [(key.removesuffix("_oracle"), text)

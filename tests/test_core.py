@@ -48,6 +48,13 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="n_levels"):
             TransmonParams(delta_q=-80.0, g=4.9, n_levels=1)
 
+    def test_transmon_levels_are_an_integer(self):
+        # 2.5 used to pass here and fail later, inside the operator build
+        with pytest.raises(ValueError, match="n_levels must be an integer"):
+            TransmonParams(delta_q=-80.0, g=4.9, n_levels=2.5)
+        assert TransmonParams(delta_q=-80.0, g=4.9,
+                              n_levels=np.int64(3)).n_levels == 3
+
     def test_gamma_t_is_gamma1_plus_twice_gamma_phi(self):
         q = TransmonParams(delta_q=-80.0, g=4.9, gamma_1=5.0, gamma_phi=2.2)
         assert q.gamma_t == pytest.approx(5.0 + 2.0 * 2.2)

@@ -53,6 +53,25 @@ class TestConfig:
                 with pytest.raises(TruncationError, match="n_fock"):
                     run(p, Q_OP, n_fock=3)
 
+    def test_non_integer_truncation_refused_before_allocating(
+            self, monkeypatch):
+        # n_fock = 24.0 used to pass the rules and fail inside numpy's
+        # slicing, or, at lam = 0, to build nothing and answer 0.0
+        def no_hamiltonian(*_args, **_kwargs):
+            raise AssertionError("_hamiltonian called past the rules")
+
+        monkeypatch.setattr(lindblad, "_hamiltonian", no_hamiltonian)
+        for lam in (0.0, 6.0):
+            p = dataclasses.replace(P_OP, lam=lam)
+            for run in (build_liouvillian, chi_exact, qubit_shift_dephasing):
+                for n_fock in (24.0, 8.5):
+                    with pytest.raises(TruncationError, match="integer"):
+                        run(p, Q_OP, n_fock=n_fock)
+
+    def test_numpy_integer_truncation_is_accepted(self):
+        p = dataclasses.replace(P_OP, lam=6.0)
+        assert build_liouvillian(p, n_fock=np.int64(16)).n_fock == 16
+
     def test_default_truncation_is_default_n_fock(self):
         # without a drive, every entry point sizes its default by p alone
         p = dataclasses.replace(P_OP, lam=6.0)

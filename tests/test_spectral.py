@@ -195,6 +195,74 @@ class TestShifts:
             2.0 * 0.25 / 8.7 * (1.0 + 2.0 * frame.sinh2) * nd_eff)
 
 
+def mean_field_quanta(p: OscillatorParams, n_d: float) -> float:
+    """Quanta a coherent drive at the Bogoliubov frequency Omega_a adds to
+    the Bogoliubov mode of the detuned oscillator, exactly.
+
+    The oscillator is linear, so the drive adds the quanta of its mean
+    field.  With H = delta_a a^dag a - (lam/2)(a^2 + a^dag^2) and a drive of
+    amplitude eps = (kappa/2) sqrt(n_d), which adds n_d quanta with the pump
+    off, <a> = A e^{-i Omega t} + B e^{i Omega t} solves
+        (kappa/2 + i(delta_a - Omega)) A - i lam B* = -i eps,
+        i lam A + (kappa/2 - i(delta_a + Omega)) B* = 0.
+    alpha = cosh r a + s sinh r a^dag, s = -sign(delta_a), then holds
+    |cosh r A + s sinh r B*|^2 + |cosh r B + s sinh r A*|^2 quanta on time
+    average.  Omega and r are computed here, not read from frame_of.
+    """
+    omega = math.copysign(math.sqrt(p.delta_a ** 2 - p.lam ** 2), p.delta_a)
+    r = 0.5 * math.atanh(p.lam / abs(p.delta_a))
+    ch, sh = math.cosh(r), math.sinh(r)
+    s = -math.copysign(1.0, p.delta_a)
+    eps = 0.5 * p.kappa * math.sqrt(n_d)
+    system = np.array([
+        [0.5 * p.kappa + 1j * (p.delta_a - omega), -1j * p.lam],
+        [1j * p.lam, 0.5 * p.kappa - 1j * (p.delta_a + omega)]])
+    a_amp, b_conj = np.linalg.solve(system, [-1j * eps, 0.0])
+    return (abs(ch * a_amp + s * sh * b_conj) ** 2
+            + abs(ch * np.conj(b_conj) + s * sh * np.conj(a_amp)) ** 2)
+
+
+class TestDrivenMeanField:
+    """shift_driven's drive term, n_d cosh^2 r, against the exact mean field
+    of a drive at Omega_a (mean_field_quanta)."""
+
+    N_D = 0.1
+
+    def ratio(self, kappa, delta_a, lam):
+        p = OscillatorParams(freq_a=0.0, kappa=kappa, delta_a=delta_a,
+                             lam=lam)
+        # chi = 1 reads shift_driven's n_d cosh^2 r off its shift
+        closed = shift_driven(1.0, frame_of(p), DriveSpec(n_d=self.N_D),
+                              kappa).d_omega_q
+        return mean_field_quanta(p, self.N_D) / closed
+
+    def test_exact_with_the_pump_off(self):
+        assert self.ratio(8.7, 20.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("delta_a,lam,expected", [
+        (20.0, 10.0, 1.0011), (20.0, 17.0, 1.0127), (-20.0, 17.0, 1.0127),
+        (40.0, 30.0, 1.0014)])
+    def test_closed_form_is_close_at_the_operating_points(self, delta_a, lam,
+                                                          expected):
+        assert self.ratio(8.7, delta_a, lam) == pytest.approx(expected,
+                                                              abs=1e-4)
+
+    def test_symmetric_in_the_sign_of_the_detuning(self):
+        assert self.ratio(8.7, -20.0, 17.0) == pytest.approx(
+            self.ratio(8.7, 20.0, 17.0), rel=1e-13)
+
+    def test_error_is_second_order_in_kappa_over_omega(self):
+        # at fixed r, each halving of kappa divides ratio - 1 by about 4;
+        # (ratio - 1)/(kappa/|2 Omega_a|)^2 tends to about 0.0775
+        kappas = 8.7 / 2.0 ** np.arange(4)
+        errs = [self.ratio(kappa, 20.0, 17.0) - 1.0 for kappa in kappas]
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert np.all(orders >= 1.9), orders
+        scaled = errs[-1] / (kappas[-1] / (2.0 * math.sqrt(20.0 ** 2
+                                                           - 17.0 ** 2))) ** 2
+        assert scaled == pytest.approx(0.0775, rel=0.01)
+
+
 class TestResonantShift:
     P = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0, lam=3.0)
 
