@@ -2,14 +2,17 @@
 reflection gain, tilted-circle qubit line fits, straddling-regime (g, chi_q)
 extraction, and squeezing-enhanced chi.
 
-Every fit solves through _least_squares, damped least squares (scipy's
-trust-region reflective Levenberg-Marquardt variant) at one set of settings.
+Every fit that has to move solves through _least_squares, damped least
+squares (scipy's trust-region reflective Levenberg-Marquardt variant) at one
+set of settings.  A chi fit whose start passes the solver's first test
+(max|J^T f| < _GTOL) returns that start without loading scipy.optimize.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -53,10 +56,13 @@ class CircleModel:
     gamma_t: float
 
 
+_GTOL = 1e-12  # the solver stops where max|J^T f| < _GTOL
+
+
 def _least_squares(resid, x0, max_nfev: int, bounds=(-np.inf, np.inf)):
     """The solve every fit makes; only its budget and bounds vary."""
     return scipy.optimize.least_squares(resid, x0, bounds=bounds, xtol=1e-14,
-                                        ftol=1e-14, gtol=1e-12,
+                                        ftol=1e-14, gtol=_GTOL,
                                         max_nfev=max_nfev)
 
 
@@ -271,8 +277,17 @@ def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
     mask = nd_eff > 0
     if not mask.any():
         raise DegenerateFitError("no point has a drive, n_d cosh^2 r > 0")
-    chi0 = float(np.mean(d_omega[mask] / nd_eff[mask]))
-    res = _least_squares(resid, [chi0 or -0.1], 800)
+    x0 = np.array([float(np.mean(d_omega[mask] / nd_eff[mask])) or -0.1])
+    f = resid(x0)
+    jac = -np.concatenate([nd_eff, 4.0 * x0[0] / kappa * (1.0 + 2.0 * sh2)
+                           * nd_eff])[:, None]
+    if np.max(np.abs(jac.T @ f)) < _GTOL:
+        # least_squares' own first test (no bounds, linear loss), passed:
+        # it would return x0 after this one evaluation.  NaN data fail it
+        res = SimpleNamespace(x=x0, cost=0.5 * np.dot(f, f), jac=jac,
+                              nfev=1, status=1)
+    else:
+        res = _least_squares(resid, x0, 800)
     flags = ()
     if np.mean(d_gamma[mask] / nd_eff[mask]) < 0:
         flags = ("inconsistent_dephasing_sign",)

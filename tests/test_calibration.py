@@ -2,19 +2,25 @@
 models (optionally with noise) and must recover the generating parameters."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from boqsim import (
     DegenerateFitError,
+    DriveSpec,
     OscillatorParams,
     add_complex_noise,
+    calibration,
     fit_chi_enhanced,
     fit_circle,
     fit_lambda,
     fit_straddling,
     frame_of,
+    shift_driven,
     signal_spectrum,
 )
 from boqsim.calibration import straddling_chi
@@ -147,6 +153,116 @@ class TestFitChiEnhanced:
         zeros = np.zeros(3)
         with pytest.raises(DegenerateFitError, match="drive"):
             fit_chi_enhanced(zeros, zeros, zeros, frame_of(p), KAPPA)
+
+
+@st.composite
+def noiseless_chi_data(draw):
+    """(n_d, d_omega, d_gamma, frame, kappa) from shift_driven, as chi_sweep
+    makes them: a stable detuned pump (kappa in [2, 12], |delta_a| in
+    [5, 40], lam / |delta_a| in [0, 0.95]), |chi| in [0.01, 2] and 2 to 8
+    drive strengths n_d in [0.05, 2]."""
+    kappa = draw(st.floats(2.0, 12.0))
+    delta_a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(5.0, 40.0))
+    frame = frame_of(OscillatorParams(
+        freq_a=0.0, kappa=kappa, delta_a=delta_a,
+        lam=draw(st.floats(0.0, 0.95)) * abs(delta_a)))
+    chi = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 2.0))
+    n_d = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=2,
+                                 max_size=8)))
+    shifts = [shift_driven(chi, frame, DriveSpec(n_d=x), kappa) for x in n_d]
+    return (n_d, np.array([s.d_omega_q for s in shifts]),
+            np.array([s.d_gamma_phi for s in shifts]), frame, kappa)
+
+
+def _chi_fit_and_result(data):
+    """fit_chi_enhanced's report and the solver result it was built from."""
+    seen = []
+    build = calibration._report
+
+    def spy(res, *args):
+        seen.append(res)
+        return build(res, *args)
+
+    with mock.patch.object(calibration, "_report", spy):
+        return fit_chi_enhanced(*data), seen[0]
+
+
+def _direct_chi_fit(data):
+    """scipy.optimize.least_squares called directly on fit_chi_enhanced's
+    model, from its start and at its settings."""
+    n_d, d_omega, d_gamma, frame, kappa = data
+    nd_eff = n_d * frame.cosh2
+
+    def resid(x):
+        return np.concatenate([
+            d_omega - x[0] * nd_eff,
+            d_gamma - 2.0 * x[0] * x[0] / kappa * (1.0 + 2.0 * frame.sinh2)
+            * nd_eff])
+
+    return scipy.optimize.least_squares(
+        resid, [np.mean(d_omega / nd_eff) or -0.1], xtol=1e-14, ftol=1e-14,
+        gtol=1e-12, max_nfev=800)
+
+
+def _recorded_solves(monkeypatch):
+    """A list that gets the arguments of every calibration._least_squares
+    call from here on."""
+    solves = []
+    solve = calibration._least_squares
+    monkeypatch.setattr(calibration, "_least_squares",
+                        lambda *args: solves.append(args) or solve(*args))
+    return solves
+
+
+class TestChiFitStart:
+    """A chi fit whose start passes least_squares' first gradient test
+    returns what least_squares would, without calling it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(noiseless_chi_data())
+    def test_matches_least_squares_called_directly(self, data):
+        report, res = _chi_fit_and_result(data)
+        ref = _direct_chi_fit(data)
+        want = calibration._report(ref, ["chi"], 2 * len(data[0]))
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.cost == ref.cost
+        assert report.params == want.params
+        assert (report.n_iter, report.converged, report.flags) == (
+            want.n_iter, want.converged, want.flags)
+        np.testing.assert_allclose(report.covariance, want.covariance,
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("noise", [1e-3, 1e-9])
+    def test_only_noisy_data_reach_the_solver(self, monkeypatch, noise):
+        # chi_sweep's drive strengths at its headline point, without and
+        # with relative noise; at 1e-9 the start's gradient is about 7e-11,
+        # above the solver's 1e-12 and below a much looser test
+        p = OscillatorParams(freq_a=0.0, kappa=KAPPA, delta_a=20.0, lam=17.0)
+        n_d = np.linspace(0.1, 0.6, 6)
+        shifts = [shift_driven(-0.5, frame_of(p), DriveSpec(n_d=x), KAPPA)
+                  for x in n_d]
+        d_omega = np.array([s.d_omega_q for s in shifts])
+        d_gamma = np.array([s.d_gamma_phi for s in shifts])
+        rng = np.random.default_rng(0)
+        noisy = (n_d, d_omega * (1.0 + noise * rng.standard_normal(6)),
+                 d_gamma * (1.0 + noise * rng.standard_normal(6)),
+                 frame_of(p), KAPPA)
+        solves = _recorded_solves(monkeypatch)
+        report = fit_chi_enhanced(n_d, d_omega, d_gamma, frame_of(p), KAPPA)
+        assert solves == [] and report.n_iter == 1
+        report = fit_chi_enhanced(*noisy)
+        assert len(solves) == 1 and report.n_iter > 1
+        assert report.params["chi"] == float(_direct_chi_fit(noisy).x[0])
+
+    def test_nan_data_reach_the_solver_and_are_refused(self, monkeypatch):
+        # a NaN gradient fails the start's test, so scipy refuses the data
+        p = OscillatorParams(freq_a=0.0, kappa=KAPPA, delta_a=20.0, lam=17.0)
+        n_d = np.array([0.2, 0.5, 1.0])
+        d_omega = np.array([-0.1, np.nan, -0.5])
+        solves = _recorded_solves(monkeypatch)
+        with pytest.raises(ValueError):
+            fit_chi_enhanced(n_d, d_omega, -d_omega, frame_of(p), KAPPA)
+        assert len(solves) == 1
 
 
 class TestNoiseAndReports:

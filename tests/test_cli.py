@@ -38,6 +38,25 @@ def run(tmp_path, command, *extra, config=None):
     return main(argv), tmp_path / "out"
 
 
+def loaded_modules(tmp_path, command, *extra, config=""):
+    """The names in sys.modules after `command` (with `config` and `extra`
+    arguments, output under tmp_path) runs in a fresh interpreter."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config)
+    argv = [command, "--out", str(tmp_path / "out"), "--no-timestamp",
+            "--config", str(cfg_path), *extra]
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "from boqsim.cli import main; "
+             "code = main(sys.argv[2:]); "
+             "print(json.dumps(sorted(sys.modules))); sys.exit(code)")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, src, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return set(json.loads(done.stdout))
+
+
 def read_csv(path: Path):
     lines = [l for l in path.read_text().splitlines() if not
              l.startswith("#")]
@@ -771,6 +790,33 @@ FAST_CONFIGS = {
     "chi_sweep": "delta_a_list = 0,20\nlam_points = 3\n",
     "oracle_compare": "lam_ratios = 0.3\nn_fock = 12\n",
 }
+
+
+class TestLoadedModules:
+    """What a command imports, each run in a fresh interpreter."""
+
+    @pytest.mark.parametrize("command,extra,config", [
+        ("gain_map", (), FAST_CONFIGS["gain_map"]),
+        ("qubit_response", (), FAST_CONFIGS["qubit_response"]),
+        # noiseless fits start at their solution, so the solver is not
+        # needed; the oracle path adds no fit
+        ("chi_sweep", (), FAST_CONFIGS["chi_sweep"]),
+        ("chi_sweep", ("--oracle",), FAST_CONFIGS["chi_sweep"]
+         + "n_fock = 12\n"),
+    ], ids=["gain_map", "qubit_response", "chi_sweep", "chi_sweep-oracle"])
+    def test_leaves_scipy_optimize_unloaded(self, tmp_path, command, extra,
+                                            config):
+        assert "scipy.optimize" not in loaded_modules(tmp_path, command,
+                                                      *extra, config=config)
+
+    @pytest.mark.parametrize("command,config", [
+        ("gbw", FAST_CONFIGS["gbw"]),
+        ("chi_sweep", FAST_CONFIGS["chi_sweep"] + "snr_db = 30\n"),
+    ], ids=["gbw", "chi_sweep-snr30"])
+    def test_loads_scipy_optimize(self, tmp_path, command, config):
+        # gbw's peak search and a noisy chi fit use the optimizer
+        assert "scipy.optimize" in loaded_modules(tmp_path, command,
+                                                  config=config)
 
 
 class TestConfigSchema:

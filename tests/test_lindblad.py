@@ -649,6 +649,24 @@ class TestParitySectors:
             full = _target_eigenvalue(vals, vecs, target)
             assert abs(sector - full) <= 1e-10 * max(1.0, abs(full))
 
+    @pytest.mark.parametrize("p,q,n_fock", [
+        # the resonant oscillator alone, solved real and gauged
+        (OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=0.0,
+                          lam=0.5 * 8.7 / 2.0), None, 24),
+        (dataclasses.replace(P_OP, lam=10.0), None, 16),
+        (dataclasses.replace(P_OP, lam=10.0), Q_OP, 8),
+    ], ids=["resonant", "detuned", "joint"])
+    def test_min_eigenvalue_from_the_parity_blocks(self, p, q, n_fock):
+        # undriven, rho has no entry between basis states of opposite
+        # parity, so its two parity blocks hold its whole spectrum
+        liou = build_liouvillian(p, q, n_fock=n_fock)
+        rho = lindblad._solve_steady_rho(liou)
+        cross = _vec_parities(liou).reshape(rho.shape, order="F") == 1
+        assert np.all(rho[cross] == 0.0)
+        res = steady_state(liou, check_convergence=False)
+        assert abs(res.min_eigenvalue
+                   - np.linalg.eigvalsh(rho).min()) <= 1e-14
+
     def test_drive_breaks_parity_and_uses_full_space(self):
         p = OscillatorParams(freq_a=0.0, kappa=8.7, delta_a=20.0, lam=6.0)
         liou = build_liouvillian(p, Q_OP, DriveSpec(n_d=0.3, theta=0.3), 8)
