@@ -261,10 +261,13 @@ def fit_straddling(deltas, chis) -> FitReport:
 def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
     """Joint fit of d_omega = chi n_d cosh^2 r and
     d_gamma = (2 chi^2/kappa)(1 + 2 sinh^2 r) n_d cosh^2 r for scalar chi;
-    data with no drive (no n_d cosh^2 r > 0) raise DegenerateFitError."""
-    n_d = np.asarray(n_d, dtype=float)
-    d_omega = np.asarray(d_omega, dtype=float)
-    d_gamma = np.asarray(d_gamma, dtype=float)
+    data of unequal shapes, not finite or with no drive (no
+    n_d cosh^2 r > 0) raise DegenerateFitError before any solve."""
+    n_d, d_omega, d_gamma = (np.asarray(v, dtype=float)
+                             for v in (n_d, d_omega, d_gamma))
+    if not (n_d.shape == d_omega.shape == d_gamma.shape
+            and np.isfinite([n_d, d_omega, d_gamma]).all()):
+        raise DegenerateFitError("data not finite or of unequal shapes")
     ch2, sh2 = frame.cosh2, frame.sinh2
     nd_eff = n_d * ch2
 
@@ -283,7 +286,7 @@ def fit_chi_enhanced(n_d, d_omega, d_gamma, frame, kappa: float) -> FitReport:
                            * nd_eff])[:, None]
     if np.max(np.abs(jac.T @ f)) < _GTOL:
         # least_squares' own first test (no bounds, linear loss), passed:
-        # it would return x0 after this one evaluation.  NaN data fail it
+        # it would return x0 after this one evaluation
         res = SimpleNamespace(x=x0, cost=0.5 * np.dot(f, f), jac=jac,
                               nfev=1, status=1)
     else:

@@ -241,9 +241,9 @@ def write_csv(path: Path, meta: str, header: list[str], rows) -> None:
     rows is a list of rows whose cells keep one _spec kind per column
     (float, or anything printed by str): one row format, read off the first
     row, formats them all, and a row whose cell kinds differ from the first
-    row's raises ValueError.  Otherwise rows is float blocks, written in
-    turn as they come: a 2-D float64 array of len(header) columns, or an
-    iterable of them; any other block raises ValueError."""
+    row's raises ValueError.  Otherwise rows is an iterable of float
+    blocks, written in turn as they come, each a 2-D float64 array of
+    len(header) columns; any other block raises ValueError."""
     write_atomic(path, _csv_chunks(meta, header, rows))
 
 
@@ -261,7 +261,7 @@ def _csv_chunks(meta: str, header: list[str], rows):
             yield line * len(rows) % tuple(v for row in rows for v in row)
         return
     line = ",".join([_spec(0.0)] * len(header)) + "\n"
-    for block in [rows] if isinstance(rows, np.ndarray) else rows:
+    for block in rows:
         if not (isinstance(block, np.ndarray) and block.ndim == 2
                 and block.dtype == np.float64
                 and block.shape[1] == len(header)):

@@ -178,7 +178,7 @@ class LiouvillianMatrix:
     n_fock: int
     params: OscillatorParams
     transmon: TransmonParams | None
-    drive: DriveSpec | None
+    drive: DriveSpec | None  # None unless a drive acts, n_d > 0
 
     @property
     def n_transmon(self) -> int:
@@ -198,7 +198,7 @@ def _hamiltonian(p: OscillatorParams, q: TransmonParams | None,
     ad = a.conj().T
     aa = a @ a
     h = p.delta_a * ad @ a - 0.5 * p.lam * (aa + aa.conj().T)
-    if drive is not None and drive.n_d > 0.0:
+    if drive is not None:
         eps = p.kappa * math.sqrt(drive.n_d) * np.exp(
             1j * (drive.theta - math.pi / 4.0))
         h = h + 0.5 * eps * a + 0.5 * np.conj(eps) * ad
@@ -270,6 +270,8 @@ def build_liouvillian(p: OscillatorParams, q: TransmonParams | None = None,
     """
     n_transmon = 1 if q is None else q.n_levels
     n_fock = _check_truncation(p, drive, n_fock, n_transmon)
+    # a zero drive acts as none: it keeps the parity symmetry
+    drive = drive if drive is not None and drive.n_d > 0.0 else None
     a, b, level = _operators(n_fock, n_transmon)
     h_s = sp.csc_matrix(_hamiltonian(p, q, drive, a, b, level))
     ident = sp.identity(h_s.shape[0], format="csc")
@@ -301,11 +303,6 @@ class SteadyStateResult:
     n_fock: int
 
 
-def _driven(liou: LiouvillianMatrix) -> bool:
-    """Whether a coherent drive breaks the excitation-parity symmetry."""
-    return liou.drive is not None and liou.drive.n_d > 0.0
-
-
 def _basis_parity(liou: LiouvillianMatrix) -> np.ndarray:
     """Excitation parity, (level + Fock number) % 2, of each basis state."""
     basis = np.arange(liou.dim)
@@ -316,7 +313,7 @@ def _parity_sector(liou: LiouvillianMatrix, parity: int) -> np.ndarray:
     """Sorted vec(rho) indices of the excitation-parity sector `parity`
     (0 even, 1 odd); every index when a coherent drive breaks the symmetry."""
     n_vec = liou.dim * liou.dim
-    if _driven(liou):
+    if liou.drive is not None:
         return np.arange(n_vec)
     par = _basis_parity(liou)
     # column stacking: vec index i + j * dim holds rho[i, j]
@@ -360,7 +357,7 @@ def _steady_system(liou: LiouvillianMatrix
     docstring), and the matrix is real: a gauged entry that is not raises
     RuntimeError."""
     dim = liou.dim
-    real = (liou.transmon is None and not _driven(liou)
+    real = (liou.transmon is None and liou.drive is None
             and liou.params.delta_a == 0.0)
     if real:
         i, j = np.triu_indices(dim)
@@ -456,7 +453,7 @@ def steady_state(liou: LiouvillianMatrix, thetas=None,
     # undriven, rho is block-diagonal in the basis parity: its two
     # half-size blocks hold its spectrum at about a quarter of the flops
     par = _basis_parity(liou)
-    blocks = ([rho] if _driven(liou) else
+    blocks = ([rho] if liou.drive is not None else
               [rho[np.ix_(par == k, par == k)] for k in (0, 1)])
     min_eig = min(float(np.linalg.eigvalsh(blk).min()) for blk in blocks)
     converged = True

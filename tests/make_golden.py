@@ -9,10 +9,10 @@ of more than DIGEST_ABOVE lines is kept as its SHA-256 and every
 ROW_STRIDE-th row.  A JSON report is kept as it is.  test_cli.
 TestGoldenOutputs reruns the same commands and compares: every line and
 cell exactly, but for the oracle's values (ORACLE_COLUMNS, and the JSON
-leaves is_oracle_leaf names), which it compares with the benchmark's rule
-for oracle values, perfbench.workloads._close.  A change that means to move
-an output regenerates these files in the same commit, so the move shows as
-a diff.
+leaves perfbench.workloads._json_values classes ORACLE), which it compares
+with the benchmark's rule for oracle values, perfbench.workloads._close.  A
+change that means to move an output regenerates these files in the same
+commit, so the move shows as a diff.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ def contract(run: str, work: Path) -> dict[str, str]:
             body = body[:1] + body[1::ROW_STRIDE]
         files[f"{run}/{path.name}"] = "".join(meta + body)
     return files
-
-
-def is_oracle_leaf(key: str) -> bool:
-    """Whether a JSON report's leaf holds an oracle value or one derived
-    from it."""
-    return any(word in key for word in ("oracle", "exact", "rel_err"))
 
 
 def main() -> int:

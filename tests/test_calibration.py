@@ -254,15 +254,22 @@ class TestChiFitStart:
         assert len(solves) == 1 and report.n_iter > 1
         assert report.params["chi"] == float(_direct_chi_fit(noisy).x[0])
 
-    def test_nan_data_reach_the_solver_and_are_refused(self, monkeypatch):
-        # a NaN gradient fails the start's test, so scipy refuses the data
+    @pytest.mark.parametrize("data", [
+        ([0.2, 0.5, 1.0], [-0.1, np.nan, -0.5], [0.1, 0.3, 0.5]),
+        ([0.2, 0.5, 1.0], [-0.1, -0.3, -0.5], [0.1, np.inf, 0.5]),
+        ([0.2, np.nan, 1.0], [-0.1, -0.3, -0.5], [0.1, 0.3, 0.5]),
+        ([0.2, 0.5, 1.0], [-0.1, -0.3], [0.1, 0.3, 0.5]),
+        ([0.2, 0.5], [-0.1, -0.3], [[0.1, 0.3]]),
+    ], ids=["nan_d_omega", "inf_d_gamma", "nan_n_d", "short_d_omega",
+            "2-D_d_gamma"])
+    def test_bad_data_are_refused_before_any_solve(self, monkeypatch, data):
+        # refused up front: least_squares would blame NaN data on bounds
+        # this fit does not have, and unequal lengths raise an IndexError
         p = OscillatorParams(freq_a=0.0, kappa=KAPPA, delta_a=20.0, lam=17.0)
-        n_d = np.array([0.2, 0.5, 1.0])
-        d_omega = np.array([-0.1, np.nan, -0.5])
         solves = _recorded_solves(monkeypatch)
-        with pytest.raises(ValueError):
-            fit_chi_enhanced(n_d, d_omega, -d_omega, frame_of(p), KAPPA)
-        assert len(solves) == 1
+        with pytest.raises(DegenerateFitError, match="finite"):
+            fit_chi_enhanced(*data, frame_of(p), KAPPA)
+        assert solves == []
 
 
 class TestNoiseAndReports:

@@ -198,10 +198,10 @@ class TestWriteCsv:
         table[:len(EDGE_FLOATS)] = np.array(EDGE_FLOATS)[:, None]
         table[-len(EDGE_FLOATS):] = np.array(EDGE_FLOATS)[:, None]
         header = ["a", "b", "c"]
-        assert (self._written(tmp_path, header, table)
+        assert (self._written(tmp_path, header, iter([table]))
                 == _reference_csv(self.META, header, list(table)))
 
-    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))],
+    @pytest.mark.parametrize("rows", [[], iter([np.empty((0, 3))])],
                              ids=["list", "array"])
     def test_empty_table_writes_the_header(self, tmp_path, rows):
         assert (self._written(tmp_path, ["a", "b", "c"], rows)
@@ -276,30 +276,20 @@ class TestWriteCsv:
         assert mode == stat.S_IMODE((tmp_path / "ref.csv").stat().st_mode)
 
 
-def _json_leaves(obj, key=""):
-    """(path, value) of every leaf of a parsed JSON report."""
-    if isinstance(obj, dict):
-        for sub, val in obj.items():
-            yield from _json_leaves(val, f"{key}/{sub}")
-    elif isinstance(obj, list):
-        for i, val in enumerate(obj):
-            yield from _json_leaves(val, f"{key}[{i}]")
-    else:
-        yield key, obj
-
-
 def assert_matches_golden(name, made, committed):
     """made equals the committed text byte for byte, but for oracle values,
-    which agree to the benchmark's oracle tolerance (workloads._close)."""
+    which agree to the benchmark's oracle tolerance (workloads._close).  A
+    JSON report's leaves are classed as the benchmark classes them
+    (workloads._json_values); its other leaves are compared exactly."""
     if name.endswith(".json"):
-        got, ref = (dict(_json_leaves(json.loads(text)))
+        got, ref = (workloads._json_values(json.loads(text), name)
                     for text in (made, committed))
         assert list(got) == list(ref), name
-        for key, val in ref.items():
-            oracle = (isinstance(val, float)
-                      and make_golden.is_oracle_leaf(key.rsplit("/", 1)[-1]))
-            assert (workloads._close(got[key], val, workloads.ORACLE, False)
-                    if oracle else got[key] == val), (name, key, got[key], val)
+        for key, (cls, [val], _) in ref.items():
+            new = got[key][1][0]
+            assert (workloads._close(new, val, cls, False)
+                    if cls == workloads.ORACLE else new == val), (
+                name, key, new, val)
         return
     header = next(line for line in committed.splitlines()
                   if not line.startswith("#")).split(",")
@@ -355,6 +345,30 @@ class TestGoldenOutputs:
             else:
                 with pytest.raises(AssertionError):
                     assert_matches_golden("t.csv", made, committed)
+
+    @pytest.mark.parametrize("section, key, move, ok", [
+        ("dispersive", "chi_analytic",
+         lambda v: math.nextafter(v, math.inf), False),
+        ("dispersive", "d_omega_oracle", lambda v: v * (1.0 + 2e-11), True),
+        ("dispersive", "d_omega_oracle", lambda v: v * (1.0 + 1e-8), False),
+        ("resonant_moments", "truncation_converged", lambda v: not v, False),
+    ], ids=["closed_one_ulp", "oracle_2e-11", "oracle_1e-8", "flag_flipped"])
+    def test_a_json_leaf_is_compared_by_its_class(self, section, key, move,
+                                                  ok):
+        # the benchmark's classes: a closed-form float and a flag exactly,
+        # an oracle value to the oracle tolerance
+        name = "oracle_compare_n_fock24/oracle_report.json"
+        committed = (make_golden.GOLDEN / name).read_text()
+        report = json.loads(committed)
+        node = report[section]
+        node = node[0] if isinstance(node, list) else node
+        node[key] = move(node[key])
+        made = json.dumps(report, indent=2)
+        if ok:
+            assert_matches_golden(name, made, committed)
+        else:
+            with pytest.raises(AssertionError):
+                assert_matches_golden(name, made, committed)
 
     @pytest.mark.parametrize("run", ["gbw", "qubit_response_oracle"])
     def test_line_endings_are_compared(self, tmp_path, monkeypatch, run):
@@ -683,6 +697,23 @@ class TestContracts:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "config" and "n_fock" in err["error"]
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,config,code,kind,match", [
+        ("oracle_compare", "lam = -1\n", 2, "config", "lam"),
+        ("qubit_response", "g = 0\n", 2, "config", "g must be positive"),
+        ("qubit_response", "gamma_1 = -1\n", 2, "config", "decay rates"),
+        ("gbw", "gains_db = 60\n", 3, "numerical",
+         "unreachable below the instability threshold"),
+        # Sigma[r] = delta_q + Omega_a = 0 at the zero-pump point
+        ("qubit_response", "delta_a_list = 20\ndelta_q_offset = -40\n", 3,
+         "numerical", "idler"),
+    ], ids=["negative_lam", "zero_g", "negative_gamma_1", "gain_unreachable",
+            "idler_resonance"])
+    def test_refused_point_exit_code(self, tmp_path, capsys, command, config,
+                                     code, kind, match):
+        assert run(tmp_path, command, config=config)[0] == code
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == kind and match in err["error"]
 
     def test_unstable_request_is_numerical_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "lam_ratios = 1.5\n")

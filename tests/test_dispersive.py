@@ -58,6 +58,12 @@ class TestChiTwoLevel:
         with pytest.raises(ValueError, match="Delta"):
             chi_transmon(bad, FRAME0, kappa=KAPPA)
 
+    def test_idler_resonant_detuning_rejected(self):
+        # Sigma = delta_q + Omega_a = 0
+        bad = TransmonParams(delta_q=-FRAME0.omega_bog, g=4.9)
+        with pytest.raises(ValueError, match="Sigma"):
+            chi_transmon(bad, FRAME0, kappa=KAPPA)
+
     def test_anharmonicity_is_ignored(self):
         # two levels have no second excited level to straddle
         frame = frame_at(20.0, 17.0)
@@ -85,6 +91,12 @@ class TestChiTransmon:
         bad = TransmonParams(delta_q=FRAME0.omega_bog + 114.0, g=4.9,
                              chi_q=-114.0, n_levels=3)
         with pytest.raises(ValueError, match="straddling"):
+            chi_transmon(bad, FRAME0, kappa=KAPPA)
+
+    def test_idler_straddling_resonance_rejected(self):
+        # chi_q + Sigma = 0 at chi_q = -(delta_q + Omega_a) = 60
+        bad = TransmonParams(delta_q=-80.0, g=4.9, chi_q=60.0, n_levels=3)
+        with pytest.raises(ValueError, match=r"straddling.*Sigma"):
             chi_transmon(bad, FRAME0, kappa=KAPPA)
 
     def test_validity_flag_tracks_eta(self):
