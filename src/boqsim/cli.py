@@ -243,12 +243,21 @@ def write_csv(path: Path, meta: str, header: list[str], rows) -> None:
     row, formats them all, and a row whose cell kinds differ from the first
     row's raises ValueError.  Otherwise rows is an iterable of float
     blocks, written in turn as they come, each a 2-D float64 array of
-    len(header) columns; any other block raises ValueError."""
+    len(header) columns; any other block raises ValueError.  A block's
+    column is formatted once when its bits are the same in every row, or
+    the same as the previous block's column; the bytes are those of
+    formatting each cell on its own with %.10g either way."""
     write_atomic(path, _csv_chunks(meta, header, rows))
 
 
 def _csv_chunks(meta: str, header: list[str], rows):
-    """write_csv's text, _CHUNK_ROWS rows of a float block at a time."""
+    """write_csv's text, _CHUNK_ROWS rows of a float block at a time.
+
+    A float block's row format holds a column's text when the column is
+    bitwise constant over the block; %s when it is bitwise equal to the
+    previous block's column, fed with the cells formatted the first time
+    it repeated; and %.10g otherwise.  Only the previous block's bits and
+    the cells of its repeated columns outlive a block."""
     yield meta + ",".join(header) + "\n"
     if isinstance(rows, list):
         if rows:
@@ -260,7 +269,8 @@ def _csv_chunks(meta: str, header: list[str], rows):
             line = ",".join(specs) + "\n"
             yield line * len(rows) % tuple(v for row in rows for v in row)
         return
-    line = ",".join([_spec(0.0)] * len(header)) + "\n"
+    spec = _spec(0.0)
+    prev, repeats = None, {}
     for block in rows:
         if not (isinstance(block, np.ndarray) and block.ndim == 2
                 and block.dtype == np.float64
@@ -268,9 +278,36 @@ def _csv_chunks(meta: str, header: list[str], rows):
             raise ValueError(
                 f"expected 2-D float64 blocks of {len(header)} columns, got "
                 f"{np.shape(block)} {getattr(block, 'dtype', type(block))}")
+        if not len(block):
+            continue
+        # bits, not values: == would take -0.0 for 0.0 and never match NaN
+        bits = block.view(np.uint64)
+        const = (bits == bits[0]).all(axis=0)
+        same = ((bits == prev).all(axis=0)
+                if prev is not None and prev.shape == bits.shape
+                else np.zeros_like(const))
+        cells, cols, texts = [], [], {}
+        for j in range(block.shape[1]):
+            if const[j]:
+                cells.append(spec % float(block[0, j]))
+            elif same[j]:
+                texts[j] = repeats.get(j) or [spec % v
+                                              for v in block[:, j].tolist()]
+                cells.append("%s")
+                cols.append(texts[j])
+            else:
+                cells.append(spec)
+                cols.append(block[:, j])
+        prev, repeats = bits.copy(), texts
+        line = ",".join(cells) + "\n"
         for start in range(0, len(block), _CHUNK_ROWS):
-            chunk = block[start:start + _CHUNK_ROWS]
-            yield line * len(chunk) % tuple(chunk.ravel().tolist())
+            parts = [col[start:start + _CHUNK_ROWS] for col in cols]
+            n = min(_CHUNK_ROWS, len(block) - start)
+            args = [None] * (n * len(parts))
+            for j, part in enumerate(parts):
+                args[j::len(parts)] = (part if isinstance(part, list)
+                                       else part.tolist())
+            yield line * n % tuple(args)
 
 
 def _oscillator(cfg: dict, delta_a: float, lam: float) -> OscillatorParams:
@@ -347,7 +384,10 @@ def cmd_gain_map(cfg: dict, out: Path, args) -> None:
 
 def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
                     g_target: float, grid: np.ndarray) -> float:
-    """Pump amplitude whose refined peak gain equals g_target (monotone)."""
+    """Pump amplitude whose refined peak gain equals g_target (monotone).
+
+    The bracket's lower end and the tolerance scale with l_hi below 1 MHz,
+    so a small kappa keeps both inside the stable range."""
     def excess(lam):
         p = _oscillator(cfg, delta_a, lam)
         return scattering.peak_gain(p, grid)[1] - g_target
@@ -356,7 +396,9 @@ def _lambda_at_gain(cfg: dict, kappa: float, delta_a: float,
     if excess(l_hi) < 0:
         raise ValueError(f"target gain {g_target:.3g} unreachable below "
                          "the instability threshold")
-    return float(scipy.optimize.brentq(excess, 1e-6, l_hi, xtol=1e-10))
+    scale = min(1.0, l_hi)
+    return float(scipy.optimize.brentq(excess, 1e-6 * scale, l_hi,
+                                       xtol=1e-10 * scale))
 
 
 def cmd_gbw(cfg: dict, out: Path, args) -> None:

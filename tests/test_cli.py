@@ -15,6 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import boqsim
@@ -111,13 +112,22 @@ class TestGainMap:
         assert read_csv(out / "gain_map.csv")[-1]["lam"] == "2.175"
         assert not (out / "gain_map.log").exists()
 
-    def test_float_blocks_match_the_per_row_loop(self, tmp_path):
+    @pytest.mark.parametrize("span, points", [(60.0, 41), (60.0, 1),
+                                              (0.0, 41)],
+                             ids=["probes", "one_probe", "zero_span"])
+    def test_float_blocks_match_the_per_row_loop(self, tmp_path, span,
+                                                 points):
         # lam_max_factor = 1.2 puts the top lam of each branch past the
-        # critical line, so each branch skips a block
+        # critical line, so each branch skips a block.  One probe makes
+        # every column constant over its block; a zero span makes freq_mhz
+        # constant too, and the same in every block
         code, out = run(tmp_path, "gain_map",
-                        config=FAST_GAIN_MAP + "lam_max_factor = 1.2\n")
+                        config="delta_a_list = 0,30\nlam_points = 4\n"
+                               f"probe_span = {span}\n"
+                               f"probe_points = {points}\n"
+                               "lam_max_factor = 1.2\n")
         assert code == 0
-        probes = np.linspace(-60.0, 60.0, 41)
+        probes = np.linspace(-span, span, points)
         lines = ["delta_a,lam,freq_mhz,abs_db,phase_rad"]
         skipped = []
         for delta_a in (0.0, 30.0):
@@ -244,6 +254,68 @@ class TestWriteCsv:
         blocks = iter(np.split(table, [0, 5, cli._CHUNK_ROWS + 5]))
         assert (self._written(tmp_path, ["a", "b", "c"], blocks)
                 == _reference_csv(self.META, ["a", "b", "c"], list(table)))
+
+    @pytest.mark.parametrize("refill", [False, True],
+                             ids=["fresh", "refilled"])
+    def test_a_column_that_repeats_then_changes_is_formatted_again(
+            self, tmp_path, refill):
+        # the cells kept from one run of repeats must not outlive it, and a
+        # caller that refills one buffer must not see the writer compare
+        # that buffer with itself
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, 5, 3))
+        tables = [a, a, b, b, a]
+        buf = np.empty((5, 3))
+
+        def blocks():
+            for table in tables:
+                if refill:
+                    buf[:] = table
+                    yield buf
+                else:
+                    yield table.copy()
+
+        assert (self._written(tmp_path, ["a", "b", "c"], blocks())
+                == _reference_csv(self.META, ["a", "b", "c"],
+                                  [r for t in tables for r in t.tolist()]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_column_rules_match_the_per_value_join(self, tmp_path_factory,
+                                                   data):
+        # a column constant over its block, or bitwise equal to the previous
+        # block's, is formatted once; 0.0 and -0.0 print differently, so
+        # a column of both is not constant
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lengths = st.sampled_from([1, 2, 7, cli._CHUNK_ROWS + 3])
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            prev = blocks[-1] if blocks else None
+            n = data.draw(lengths if prev is None
+                          else st.just(len(prev)) | lengths)
+            kinds = ["constant", "signed_zeros", "random"]
+            if prev is not None and len(prev) == n:
+                kinds.append("previous")
+            cols = []
+            for j in range(3):
+                kind = data.draw(st.sampled_from(kinds))
+                if kind == "constant":
+                    col = np.full(n, data.draw(st.sampled_from(EDGE_FLOATS)))
+                elif kind == "signed_zeros":
+                    col = rng.choice([0.0, -0.0], n)
+                elif kind == "previous":
+                    col = prev[:, j].copy()
+                else:
+                    col = rng.standard_normal(n)
+                    col *= 10.0 ** rng.integers(-30, 30, n)
+                    col[rng.integers(0, n, 3)] = rng.choice(EDGE_FLOATS, 3)
+                cols.append(col)
+            blocks.append(np.column_stack(cols))
+        header = ["a", "b", "c"]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        cli.write_csv(path, self.META, header, iter(blocks))
+        assert path.read_text() == _reference_csv(
+            self.META, header, [r for b in blocks for r in b.tolist()])
 
     def test_failed_replace_removes_the_temp_file(self, tmp_path,
                                                   monkeypatch):
@@ -404,6 +476,15 @@ class TestGbw:
         for r in read_csv(out / "gbw.csv"):
             assert abs(float(r["peak_freq"])) < 1e-4
             assert r["merged"] == "0"
+
+    def test_targets_hit_at_a_small_kappa(self, tmp_path):
+        # brentq's bracket once began at an absolute lam = 1e-6 MHz, past
+        # lambda_crit = 5e-9 MHz here, and the run exited 3
+        code, out = run(tmp_path, "gbw",
+                        config="kappa = 1e-8\ndelta_a_list = 0\n")
+        assert code == 0
+        assert [float(r["g_max_db"]) for r in read_csv(out / "gbw.csv")] \
+            == pytest.approx([3.0, 6.0, 9.0, 12.0], abs=1e-6)
 
     def test_default_run_refines_at_most_two_candidates_per_search(
             self, tmp_path):
